@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import analysis
+from . import analysis, odometers, words
 from .codecs import (
     BCF_ZERO,
     bcf_decode,
@@ -44,10 +44,7 @@ from .interval_maps import (
 from .odometers import baire_step, dyadic_step
 from .trees import locate, subtree_level
 from .word_actions import Policy, enumerate_words, orbit as word_orbit, step as word_step
-from .words import FiniteWord, TailWord, compare_rlex, total_index
-
-from . import odometers, words
-from .words import block_encode, tail
+from .words import FiniteWord, TailWord, block_encode, compare_rlex, tail, total_index
 
 
 def parse_word(text: str, floor: int) -> FiniteWord:
@@ -172,6 +169,8 @@ def _orbit_words(args) -> int:
 
 def _orbit_rationals(args) -> int:
     k = args.k if args.k is not None else 2
+    if args.map == "OGk" and k < 1:
+        raise ValueError("--k must be >= 1 for OGk")
     boundary = Boundary(args.boundary)
     step: Callable[[Fraction], Fraction] = {
         "OG": lambda x: gauss_odometer(x, boundary),
@@ -300,19 +299,30 @@ def _suite_renorm(budget: int, rng: random.Random) -> list[tuple[str, bool, str]
         pre = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 5)))
         per = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 4)))
         w = tail(pre, per)
-        for m in range(4):
-            for n in range(4):
-                e = odometers.renormalization_exponent(w, m, n)
-                lhs = words.drop_front(w, n)
-                for _ in range(m):
-                    lhs = baire_step(lhs)
-                rhs = w
-                for _ in range(e):
-                    rhs = baire_step(rhs)
-                if lhs != words.drop_front(rhs, n):
-                    bad += 1
+        exponents = {(m, n): odometers.renormalization_exponent(w, m, n)
+                     for m in range(4) for n in range(4)}
+        at = _orbit_states(w, set(exponents.values()))
+        for (m, n), e in exponents.items():
+            lhs = words.drop_front(w, n)
+            for _ in range(m):
+                lhs = baire_step(lhs)
+            if lhs != words.drop_front(at[e], n):
+                bad += 1
     return [_check("renormalization: step^m shift^n = shift^n step^(m 2^n 2^(w1+..+wn))",
                    bad == 0, f"{cases} words x m,n <= 3, {bad} mismatches")]
+
+
+def _orbit_states(w: TailWord, exponents: set[int]) -> dict[int, TailWord]:
+    """baire_step^e(w) for every e in exponents, from one walk of the orbit."""
+    states = {}
+    cur = w
+    top = max(exponents)
+    for e in range(top + 1):
+        if e in exponents:
+            states[e] = cur
+        if e < top:
+            cur = baire_step(cur)
+    return states
 
 
 def _suite_counting(budget: int, rng: random.Random) -> list[tuple[str, bool, str]]:
@@ -452,6 +462,18 @@ def _cmd_verify(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baire-odometers",
@@ -460,31 +482,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate rationals in codec order")
     p.add_argument("--system", required=True, choices=["cf", "bcf", "dyadic"])
-    p.add_argument("--count", required=True, type=int)
+    p.add_argument("--count", required=True, type=_at_least(1))
     p.add_argument("--offset", choices=["root", "zero"], default=None)
     p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
-    p.add_argument("--decimal", type=int, default=None, metavar="BITS")
+    p.add_argument("--decimal", type=_at_least(1), default=None, metavar="BITS")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("orbit", help="iterate an odometer or interval map")
     p.add_argument("--map", required=True, choices=list(WORD_MAPS) + list(RATIONAL_MAPS))
     p.add_argument("--start", required=True, metavar="WORD|P/Q")
-    p.add_argument("--steps", required=True, type=int)
+    p.add_argument("--steps", required=True, type=_at_least(0))
     p.add_argument("--policy", choices=[pol.value for pol in Policy], default="topdown")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--boundary", choices=["right", "left"], default="right")
     p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
-    p.add_argument("--decimal", type=int, default=None, metavar="BITS")
+    p.add_argument("--decimal", type=_at_least(1), default=None, metavar="BITS")
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("tree", help="print levels of a word tree")
     p.add_argument("--floor", required=True, type=int)
-    p.add_argument("--levels", required=True, type=int)
+    p.add_argument("--levels", required=True, type=_at_least(1))
     p.add_argument("--root", default=None, metavar="WORD")
     p.add_argument("--values", choices=["cf", "bcf", "dyadic"], default=None)
     p.add_argument("--mirror", action="store_true")
     p.add_argument("--format", choices=["json", "plain"], default="plain")
-    p.add_argument("--decimal", type=int, default=None, metavar="BITS")
+    p.add_argument("--decimal", type=_at_least(1), default=None, metavar="BITS")
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("codec", help="convert between words and rationals")
@@ -495,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", choices=list(SUITES) + ["all"])
-    p.add_argument("--budget", type=int, default=12)
+    p.add_argument("--budget", type=_at_least(0), default=12)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -121,15 +121,19 @@ def bcf_encode(x: Fraction) -> BcfWord:
 
 
 def bcf_decode(w: BcfWord) -> Fraction:
-    """Evaluate 1 - 1/(a1 - 1/(a2 - ...)) exactly, bottom up; BCF_ZERO -> 0."""
+    """Evaluate 1 - 1/(a1 - 1/(a2 - ...)) exactly, bottom up; BCF_ZERO -> 0.
+
+    The engine a_i - 1/(a_{i+1} - ...) is kept as an integer pair p/q with
+    (p, q) <- (a*p - q, p), so only the final 1 - q/p builds a Fraction.
+    """
     if isinstance(w, _BcfZero):
         return Fraction(0)
     if any(a < 2 for a in w.letters):
         raise ValueError("backward continued-fraction words need letters >= 2")
-    engine = Fraction(w.letters[-1])
-    for a in reversed(w.letters[:-1]):
-        engine = a - 1 / engine
-    return 1 - 1 / engine
+    p, q = 1, 0
+    for a in reversed(w.letters):
+        p, q = a * p - q, p
+    return Fraction(p - q, p)
 
 
 def bcf_tail_form(w: BcfWord) -> TailWord:

@@ -13,7 +13,11 @@ words as 2-adic integers (an all-ones tail is a two's-complement negative).
 
 from __future__ import annotations
 
-from .words import TailWord, _require_binary, constant, drop_front
+from .words import TailWord, _drop_letters, _require_binary, drop_front
+
+# Every map below keeps the letters >= floor and the period primitive (it is
+# the input's period or a rotation of it, or a constant), so results are built
+# with the trusted TailWord._canonical.
 
 
 def dyadic_step(w: TailWord) -> TailWord:
@@ -21,20 +25,21 @@ def dyadic_step(w: TailWord) -> TailWord:
     _require_binary(w)
     if w.period == (1,):
         if all(a == 1 for a in w.preperiod):
-            return constant(0)
+            return TailWord._canonical(0, (), (0,))
         head = w.preperiod
     else:
         head = w.preperiod + w.period  # guaranteed to contain a 0
     i = head.index(0)
-    return TailWord(0, (0,) * i + (1,) + head[i + 1:], w.period)
+    return TailWord._canonical(0, (0,) * i + (1,) + head[i + 1:], w.period)
 
 
 def baire_step(w: TailWord) -> TailWord:
     """One odometer step on a word over {floor, floor+1, ...}."""
     k = w.floor
-    w1, w2 = w.letter(1), w.letter(2)
-    rest = drop_front(w, 2)
-    return TailWord(k, (k,) * (w1 - k) + (w2 + 1,) + rest.preperiod, rest.period)
+    pre, per = w.preperiod, w.period
+    head = pre if len(pre) >= 2 else pre + per + per
+    rest, per = _drop_letters(pre, per, 2)
+    return TailWord._canonical(k, (k,) * (head[0] - k) + (head[1] + 1,) + rest, per)
 
 
 def shift(w: TailWord) -> TailWord:
@@ -54,13 +59,13 @@ def fast_forward(w: TailWord, m: int) -> TailWord:
         if v >= 0:
             return _from_int(v)
         width = max(p, (-v).bit_length())
-        return TailWord(0, _bit_tuple(v & ((1 << width) - 1), width), (1,))
+        return TailWord._canonical(0, _bit_tuple(v & ((1 << width) - 1), width), (1,))
     reps = 1
     while True:
         head = w.preperiod + w.period * reps
         v = _bits_value(head) + m
         if v < 1 << len(head):
-            return TailWord(0, _bit_tuple(v, len(head)), w.period)
+            return TailWord._canonical(0, _bit_tuple(v, len(head)), w.period)
         reps *= 2  # w.period contains a 0, so enough expansion absorbs the carry
 
 
@@ -84,4 +89,4 @@ def _bit_tuple(v: int, width: int) -> tuple[int, ...]:
 
 
 def _from_int(v: int) -> TailWord:
-    return TailWord(0, _bit_tuple(v, v.bit_length()), (0,))
+    return TailWord._canonical(0, _bit_tuple(v, v.bit_length()), (0,))

@@ -70,6 +70,15 @@ class TailWord:
     (its last letter differs from the period's last letter, rotating the
     period as needed).  Normalization makes structural equality coincide with
     letterwise equality of the represented sequences.
+
+    The public constructor validates (floor >= 0, nonempty period, letters >=
+    floor) and normalizes every input.  Maps that provably keep the letters
+    >= floor and the period nonempty and primitive (baire_step, dyadic_step,
+    drop_front, fast_forward) build their results with the internal
+    ``TailWord._canonical(floor, pre, per)`` instead, which skips validation
+    and the period reduction and only shortens the preperiod.  Its inputs are
+    not checked: a caller that breaks the precondition gets a non-canonical
+    word.
     """
 
     floor: int
@@ -83,9 +92,21 @@ class TailWord:
             raise ValueError("period must be nonempty")
         if any(a < self.floor for a in self.preperiod + self.period):
             raise ValueError("letters below floor")
-        pre, per = _normalize(self.preperiod, self.period)
+        pre, per = _absorb(self.preperiod, _primitive(self.period))
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
+
+    @classmethod
+    def _canonical(cls, floor: int, pre: tuple[int, ...], per: tuple[int, ...]) -> TailWord:
+        # trusted: letters >= floor >= 0, per nonempty and primitive
+        if pre and pre[-1] == per[-1]:
+            pre, per = _absorb(pre, per)
+        w = object.__new__(cls)
+        d = w.__dict__  # frozen: fill the fields without __init__ or __setattr__
+        d["floor"] = floor
+        d["preperiod"] = pre
+        d["period"] = per
+        return w
 
     def letter(self, i: int) -> int:
         """1-based letter access; total for every i >= 1."""
@@ -115,18 +136,26 @@ class TailWord:
         return f"{pre};{per}"
 
 
-def _normalize(pre: tuple[int, ...], per: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # primitive period: shortest divisor-length word whose repetition is per
+def _primitive(per: tuple[int, ...]) -> tuple[int, ...]:
+    # shortest divisor-length word whose repetition is per
     n = len(per)
     for d in range(1, n + 1):
         if n % d == 0 and per[:d] * (n // d) == per:
-            per = per[:d]
-            break
-    # shortest preperiod: absorb trailing letters into a rotated period
-    while pre and pre[-1] == per[-1]:
-        per = per[-1:] + per[:-1]
-        pre = pre[:-1]
-    return pre, per
+            return per[:d]
+    return per
+
+
+def _absorb(pre: tuple[int, ...], per: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # shortest preperiod: absorb the j trailing letters that continue the
+    # period backwards, then rotate the period right by j
+    n, p = len(pre), len(per)
+    j = 0
+    while j < n and pre[n - 1 - j] == per[-1 - j % p]:
+        j += 1
+    if not j:
+        return pre, per
+    r = p - j % p
+    return pre[:n - j], per[r:] + per[:r]
 
 
 def tail(preperiod, period, floor: int = 0) -> TailWord:
@@ -143,11 +172,16 @@ def drop_front(w: TailWord, n: int) -> TailWord:
     """Remove the first n letters."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    pre, per = w.preperiod, w.period
+    return TailWord._canonical(w.floor, *_drop_letters(w.preperiod, w.period, n))
+
+
+def _drop_letters(pre: tuple[int, ...], per: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # preperiod and period of a canonical word after its first n letters;
+    # the result is canonical too
     if n <= len(pre):
-        return TailWord(w.floor, pre[n:], per)
+        return pre[n:], per
     k = (n - len(pre)) % len(per)
-    return TailWord(w.floor, (), per[k:] + per[:k])
+    return (), per[k:] + per[:k]
 
 
 def sum_k(w: FiniteWord) -> int:

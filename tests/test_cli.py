@@ -210,7 +210,35 @@ class TestCodec:
         assert out.strip() == "2/3"
 
 
+RENORM_BUDGET_8 = (
+    "ok   [renorm] renormalization: step^m shift^n = shift^n step^(m 2^n 2^(w1+..+wn)): "
+    "100 words x m,n <= 3, 0 mismatches\n"
+)
+
+ORACLES_BUDGET_8 = (
+    "ok   [oracles] gauss closed form = cyclic word action: 5634 rationals, q <= 136, 0 mismatches\n"
+    "ok   [oracles] renyi closed form = backward word action: 5634 rationals, q <= 136, 0 mismatches\n"
+    "ok   [oracles] restricted gauss closed form (k=2) = word action: "
+    "1195 admissible rationals, 0 mismatches\n"
+    "ok   [oracles] restricted gauss closed form (k=3) = word action: "
+    "542 admissible rationals, 0 mismatches\n"
+    "ok   [oracles] cf enumeration = son-rule breadth-first oracle: first 256 values\n"
+    "ok   [oracles] bcf enumeration = son-rule breadth-first oracle: first 256 values\n"
+    "ok   [oracles] dyadic enumeration = son-rule breadth-first oracle: first 256 values\n"
+    "ok   [oracles] bcf enumeration = Stern diatomic oracle: first 256 values\n"
+)
+
+
 class TestVerify:
+    @pytest.mark.parametrize("suite, expected", [
+        ("renorm", RENORM_BUDGET_8),
+        ("oracles", ORACLES_BUDGET_8),
+    ])
+    def test_golden_output(self, capsys, suite, expected):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--budget", "8")
+        assert code == 0
+        assert out == expected
+
     def test_small_budget_all_green(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "counting", "--budget", "6")
         assert code == 0
@@ -234,3 +262,40 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--system", "cf", "--count", "0"], "--count: must be >= 1"),
+        (["enumerate", "--system", "cf", "--count", "-3"], "--count: must be >= 1"),
+        (["enumerate", "--system", "cf", "--count", "2", "--decimal", "0"],
+         "--decimal: must be >= 1"),
+        (["enumerate", "--system", "cf", "--count", "2", "--decimal", "-3"],
+         "--decimal: must be >= 1"),
+        (["orbit", "--map", "OG", "--start", "1/3", "--steps", "-1"], "--steps: must be >= 0"),
+        (["orbit", "--map", "OG", "--start", "1/3", "--steps", "1", "--decimal", "0"],
+         "--decimal: must be >= 1"),
+        (["orbit", "--map", "OGk", "--k", "0", "--start", "1/3", "--steps", "1"],
+         "--k must be >= 1 for OGk"),
+        (["orbit", "--map", "OGk", "--k", "-2", "--start", "1/3", "--steps", "1"],
+         "--k must be >= 1 for OGk"),
+        (["tree", "--floor", "1", "--levels", "0"], "--levels: must be >= 1"),
+        (["tree", "--floor", "1", "--levels", "-2"], "--levels: must be >= 1"),
+        (["tree", "--floor", "1", "--levels", "2", "--decimal", "0"], "--decimal: must be >= 1"),
+        (["verify", "--suite", "counting", "--budget", "-4"], "--budget: must be >= 0"),
+        (["enumerate", "--system", "cf", "--count", "x"], "invalid int value"),
+    ])
+    def test_out_of_range_input_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert len(err.splitlines()[-1]) < 120
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--map", "OG", "--start", "1/3", "--steps", "0"],
+        ["verify", "--suite", "counting", "--budget", "0"],
+        ["orbit", "--map", "OGk", "--k", "1", "--start", "1/3", "--steps", "1"],
+    ])
+    def test_range_edges_accepted(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out

@@ -32,6 +32,14 @@ def reduced_fractions(q_max, include_zero=False, include_one=False):
 rationals_01 = st.fractions(min_value=0, max_value=1, max_denominator=10_000)
 
 
+def bcf_decode_fraction(w):
+    """Reference evaluation of 1 - 1/(a1 - 1/(a2 - ...)) in Fraction arithmetic."""
+    engine = Fraction(w.letters[-1])
+    for a in reversed(w.letters[:-1]):
+        engine = a - 1 / engine
+    return 1 - 1 / engine
+
+
 class TestRationalText:
     def test_parse(self):
         assert parse_rational("4/7") == Fraction(4, 7)
@@ -143,6 +151,21 @@ class TestBcfCodec:
     def test_round_trip_random(self, x):
         if x < 1:
             assert bcf_decode(bcf_encode(x)) == x
+
+    @given(st.one_of(
+        st.lists(st.integers(2, 9), min_size=1, max_size=30),
+        st.lists(st.integers(2, 1000), min_size=1, max_size=30),
+        st.lists(st.integers(2, 4), min_size=200, max_size=600),
+    ))
+    def test_matches_fraction_evaluation(self, letters):
+        w = FiniteWord(2, tuple(letters))
+        assert bcf_decode(w) == bcf_decode_fraction(w)
+
+    @given(st.lists(st.integers(2, 9), max_size=20), st.integers(0, 1),
+           st.lists(st.integers(2, 9), max_size=20))
+    def test_letters_below_two_rejected(self, head, low, rest):
+        with pytest.raises(ValueError):
+            bcf_decode(FiniteWord(0, tuple(head) + (low,) + tuple(rest)))
 
 
 class TestBcfForms:

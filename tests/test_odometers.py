@@ -8,7 +8,14 @@ from baire_odometers.odometers import (
     renormalization_exponent,
     shift,
 )
-from baire_odometers.words import block_decode, block_encode, constant, drop_front, tail
+from baire_odometers.words import (
+    TailWord,
+    block_decode,
+    block_encode,
+    constant,
+    drop_front,
+    tail,
+)
 
 
 def binary_words(max_pre=10, max_per=6):
@@ -17,6 +24,75 @@ def binary_words(max_pre=10, max_per=6):
         st.lists(st.integers(0, 1), max_size=max_pre),
         st.lists(st.integers(0, 1), min_size=1, max_size=max_per),
     )
+
+
+@st.composite
+def raw_tail_words(draw, floor=st.integers(0, 3), span=3):
+    """Words built by the public constructor from often non-canonical input:
+    a repeated period block and a preperiod ending in period letters."""
+    k = draw(floor)
+    letters = st.integers(k, k + span)
+    block = draw(st.lists(letters, min_size=1, max_size=4))
+    per = block * draw(st.integers(1, 3))
+    pre = (draw(st.lists(letters, max_size=6)) + per * draw(st.integers(0, 2))
+           + block[len(block) - draw(st.integers(0, len(block))):])
+    return TailWord(k, tuple(pre), tuple(per))
+
+
+def assert_canonical(r):
+    c = TailWord(r.floor, r.preperiod, r.period)
+    assert (c.floor, c.preperiod, c.period) == (r.floor, r.preperiod, r.period)
+
+
+def oracle_length(w, r):
+    # long enough for a prefix match to pin down both eventually periodic words
+    return len(w.preperiod) + 2 * len(w.period) + len(r.preperiod) + len(r.period) + 2
+
+
+def add_lsb_first(bits, m):
+    n = len(bits)
+    v = (sum(b << i for i, b in enumerate(bits)) + m) % (1 << n)
+    return tuple((v >> i) & 1 for i in range(n))
+
+
+class TestCanonicalResults:
+    """Results of the maps built by the trusted constructor are canonical and
+    agree letter by letter with prefix oracles."""
+
+    @given(raw_tail_words())
+    def test_baire_step(self, w):
+        r = baire_step(w)
+        assert_canonical(r)
+        k, w1, w2 = w.floor, w.letter(1), w.letter(2)
+        expected = (k,) * (w1 - k) + (w2 + 1,) + w.prefix(oracle_length(w, r))[2:]
+        assert r.floor == k
+        assert r.prefix(len(expected)) == expected
+
+    @given(raw_tail_words(floor=st.just(0), span=1))
+    def test_dyadic_step(self, w):
+        r = dyadic_step(w)
+        assert_canonical(r)
+        bits = w.prefix(oracle_length(w, r))
+        assert r.prefix(len(bits)) == add_lsb_first(bits, 1)
+
+    @given(raw_tail_words(floor=st.just(0), span=1),
+           st.one_of(st.integers(0, 5000), st.integers(0, 1 << 80)))
+    def test_fast_forward(self, w, m):
+        r = fast_forward(w, m)
+        assert_canonical(r)
+        bits = w.prefix(oracle_length(w, r) + m.bit_length())
+        assert r.prefix(len(bits)) == add_lsb_first(bits, m)
+
+    @given(raw_tail_words(), st.integers(0, 12))
+    def test_drop_front_and_shift(self, w, n):
+        r = drop_front(w, n)
+        assert_canonical(r)
+        length = oracle_length(w, r)
+        assert r.floor == w.floor
+        assert r.prefix(length) == w.prefix(length + n)[n:]
+        s = shift(w)
+        assert_canonical(s)
+        assert s.prefix(length) == w.prefix(length + 1)[1:]
 
 
 class TestDyadicStep:

@@ -85,6 +85,10 @@ class TestTailWordNormalization:
             TailWord(0, (), ())
         with pytest.raises(ValueError):
             TailWord(2, (1,), (2,))
+        with pytest.raises(ValueError):
+            TailWord(2, (3,), (2, 1))
+        with pytest.raises(ValueError):
+            TailWord(-1, (), (0,))
 
 
 class TestDropFront:
