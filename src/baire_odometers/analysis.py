@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .codecs import BCF_ZERO, bcf_encode, cf_decode, cf_encode, dyadic_decode, dyadic_encode
+from .codecs import SYSTEMS, cf_decode, dyadic_decode, system as codec_system
 from .interval_maps import question_mark, renyi_odometer
 from .odometers import baire_step
 from .word_actions import Policy, orbit
 from .words import FiniteWord, constant, total_index
-
-SYSTEMS = ("cf", "bcf", "dyadic")
 
 
 def stern(n: int) -> int:
@@ -110,9 +108,10 @@ def audit_enumeration(system: str, count: int) -> EnumerationReport:
     """Scan an enumeration prefix for duplicate values and word-order breaks.
 
     Values are re-encoded through the codec (an independent route back to
-    words); their total_index must be strictly increasing.
+    words); their total_index must be strictly increasing.  The letterless
+    bcf word of 0 comes first, at index -1.
     """
-    encode = {"cf": cf_encode, "bcf": bcf_encode, "dyadic": dyadic_encode}[system]
+    _, encode, _ = codec_system(system)
     seen: set[Fraction] = set()
     first_collision = None
     order_violation = None
@@ -121,8 +120,8 @@ def audit_enumeration(system: str, count: int) -> EnumerationReport:
         if first_collision is None and x in seen:
             first_collision = n
         seen.add(x)
-        w = encode(x) if x else BCF_ZERO
-        index = -1 if w is BCF_ZERO else total_index(w)
+        w = encode(x)
+        index = total_index(w) if w.letters else -1
         if order_violation is None and prev is not None and index <= prev:
             order_violation = n
         prev = index

@@ -16,21 +16,21 @@ import math
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import analysis, odometers, words
 from .codecs import (
     BCF_ZERO,
+    SYSTEMS,
     bcf_decode,
     bcf_encode,
     bcf_finite_form,
     bcf_tail_form,
     cf_decode,
     cf_encode,
-    dyadic_decode,
-    dyadic_encode,
     format_rational,
     parse_rational,
+    system,
 )
 from .interval_maps import (
     Boundary,
@@ -45,6 +45,8 @@ from .odometers import baire_step, dyadic_step
 from .trees import locate, subtree_level
 from .word_actions import Policy, enumerate_words, orbit as word_orbit, step as word_step
 from .words import FiniteWord, TailWord, block_encode, compare_rlex, tail, total_index
+
+ERROR_WIDTH = 200  # an error line longer than this is cut short
 
 
 def parse_word(text: str, floor: int) -> FiniteWord:
@@ -73,101 +75,85 @@ def _decimal_string(x: Fraction, bits: int) -> str:
     return f"{sign}{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"
 
 
-def _emit(rows: Iterable[dict], fmt: str, out) -> None:
+def _value_text(x: Fraction, bits: int | None) -> str:
+    """Plain rendering of a value: exact "p/q", or a decimal with --decimal."""
+    return _decimal_string(x, bits) if bits else str(x)
+
+
+Row = tuple[dict, str, object]  # (json record, plain line, csv word cell)
+
+
+def _emit(rows: Iterable[Row], fmt: str) -> int:
+    """Write each row in one format and return exit code 0.  The csv cell goes
+    through str(), None as an empty cell.  Nothing is written before the first
+    row exists, so an input error raised while building it leaves stdout empty."""
     if fmt == "json":
-        for row in rows:
-            print(json.dumps(row, separators=(",", ":")), file=out)
+        for record, _, _ in rows:
+            print(json.dumps(record, separators=(",", ":")))
     elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["n", "word", "value"])
-        for row in rows:
-            writer.writerow([row.get("n", ""), row.get("word_text", ""), row.get("value", "")])
+        writer = csv.writer(sys.stdout)
+        for n, (record, _, cell) in enumerate(rows):
+            if n == 0:
+                writer.writerow(["n", "word", "value"])
+            writer.writerow([record["n"], cell, record.get("value", "")])
     else:
-        for row in rows:
-            print(row["plain"], file=out)
+        for _, line, _ in rows:
+            print(line)
+    return 0
 
 
-def _word_json(w: FiniteWord) -> list[int]:
-    return list(w.letters)
-
-
-def _tail_json(w: TailWord) -> dict:
-    return {"pre": list(w.preperiod), "per": list(w.period), "floor": w.floor}
+def _value_row(record: dict, x: Fraction, w, bits: int | None) -> Row:
+    """A row of a rational stream: the record gains the exact value (and the
+    decimal); w, the value's codec word or None, is the csv cell."""
+    record["value"] = format_rational(x)
+    line = _value_text(x, bits)
+    if bits:
+        record["decimal"] = line
+    return record, line, w
 
 
 # ---------------------------------------------------------------- enumerate
 
-def _cmd_enumerate(args) -> int:
-    encode = {"cf": cf_encode, "bcf": bcf_encode, "dyadic": dyadic_encode}[args.system]
-
-    def rows():
-        values = analysis.enumerate_rationals(args.system, args.count, args.offset)
-        for n, x in enumerate(values):
-            w = encode(x) if x != 0 else BCF_ZERO
-            letters = [] if w is BCF_ZERO else list(w.letters)
-            floor = {"cf": 1, "bcf": 2, "dyadic": 0}[args.system]
-            row = {"n": n, "word": letters, "floor": floor, "value": format_rational(x)}
-            row["word_text"] = "zero" if w is BCF_ZERO else str(w)
-            row["plain"] = _decimal_string(x, args.decimal) if args.decimal else str(x)
-            if args.decimal:
-                row["decimal"] = _decimal_string(x, args.decimal)
-            yield _strip(row, args.format)
-        return
-
-    _emit(rows(), args.format, sys.stdout)
-    return 0
-
-
-def _strip(row: dict, fmt: str) -> dict:
-    if fmt == "json":
-        return {k: v for k, v in row.items() if k not in ("plain", "word_text")}
-    return row
+def _enumerate_rows(args) -> Iterator[Row]:
+    floor, encode, _ = system(args.system)
+    for n, x in enumerate(analysis.enumerate_rationals(args.system, args.count, args.offset)):
+        w = encode(x)
+        yield _value_row({"n": n, "word": list(w.letters), "floor": floor}, x, w, args.decimal)
 
 
 # -------------------------------------------------------------------- orbit
 
 WORD_MAPS = ("O", "O0", "Ok")
-RATIONAL_MAPS = ("OG", "OR", "OGk", "gauss", "renyi", "interval-dyadic")
+# interval map -> the codec system of the words on its rows
+RATIONAL_MAPS = {"OG": "cf", "OR": "bcf", "OGk": "cf", "gauss": "cf", "renyi": "bcf",
+                 "interval-dyadic": "dyadic"}
 
 
-def _cmd_orbit(args) -> int:
-    if args.map in WORD_MAPS:
-        return _orbit_words(args)
-    return _orbit_rationals(args)
+def _orbit_rows(args) -> Iterator[Row]:
+    return _value_orbit_rows(args) if args.map in RATIONAL_MAPS else _word_orbit_rows(args)
 
 
-def _orbit_words(args) -> int:
+def _word_orbit_rows(args) -> Iterator[Row]:
     k = args.k if args.k is not None else 0 if args.map in ("O", "O0") else 1
-    if ";" in args.start:
-        w = parse_tailword(args.start, 0 if args.map == "O" else k)
-        step = dyadic_step if args.map == "O" else baire_step
-
-        def items():
-            cur = w
-            for n in range(args.steps + 1):
-                yield n, cur
-                cur = step(cur)
-
-        def rows():
-            for n, cur in items():
-                yield _strip({"n": n, "word": _tail_json(cur),
-                              "word_text": str(cur), "plain": str(cur)}, args.format)
-    else:
+    if ";" not in args.start:
         if args.map == "O":
             raise ValueError("map O acts on infinite binary words; use the pre;per syntax")
-        w = parse_word(args.start, k)
-        policy = Policy(args.policy)
+        start = parse_word(args.start, k)
+        for n, cur in enumerate(word_orbit(start, Policy(args.policy), args.steps + 1)):
+            text = str(cur)
+            yield {"n": n, "word": list(cur.letters), "floor": cur.floor}, text, text
+        return
+    cur = parse_tailword(args.start, 0 if args.map == "O" else k)
+    step = dyadic_step if args.map == "O" else baire_step
+    for n in range(args.steps + 1):
+        text = str(cur)
+        word = {"pre": list(cur.preperiod), "per": list(cur.period), "floor": cur.floor}
+        yield {"n": n, "word": word}, text, text
+        if n < args.steps:
+            cur = step(cur)
 
-        def rows():
-            for n, cur in enumerate(word_orbit(w, policy, args.steps + 1)):
-                yield _strip({"n": n, "word": _word_json(cur), "floor": cur.floor,
-                              "word_text": str(cur), "plain": str(cur)}, args.format)
 
-    _emit(rows(), args.format, sys.stdout)
-    return 0
-
-
-def _orbit_rationals(args) -> int:
+def _value_orbit_rows(args) -> Iterator[Row]:
     k = args.k if args.k is not None else 2
     if args.map == "OGk" and k < 1:
         raise ValueError("--k must be >= 1 for OGk")
@@ -180,105 +166,70 @@ def _orbit_rationals(args) -> int:
         "renyi": renyi,
         "interval-dyadic": dyadic_interval_step,
     }[args.map]
-    system = {"OG": "cf", "OGk": "cf", "gauss": "cf",
-              "OR": "bcf", "renyi": "bcf", "interval-dyadic": "dyadic"}[args.map]
-    x = parse_rational(args.start)
-
-    def encode_word(v: Fraction):
+    _, encode, _ = system(RATIONAL_MAPS[args.map])
+    cur = parse_rational(args.start)
+    for n in range(args.steps + 1):
         try:
-            if system == "cf":
-                return _word_json(cf_encode(v))
-            if system == "bcf":
-                w = bcf_encode(v)
-                return [] if w is BCF_ZERO else _word_json(w)
-            return _word_json(dyadic_encode(v))
-        except ValueError:
-            return None
-
-    def rows():
-        cur = x
-        for n in range(args.steps + 1):
-            w = encode_word(cur)
-            row = {"n": n, "word": w, "value": format_rational(cur),
-                   "word_text": "" if w is None else "(" + ",".join(str(a) for a in w) + ")",
-                   "plain": _decimal_string(cur, args.decimal) if args.decimal else str(cur)}
-            if args.decimal:
-                row["decimal"] = _decimal_string(cur, args.decimal)
-            yield _strip(row, args.format)
-            if n < args.steps:
-                cur = step(cur)
-
-    _emit(rows(), args.format, sys.stdout)
-    return 0
+            w = encode(cur)
+        except ValueError:  # the point lies outside the codec's domain
+            w = None
+        yield _value_row({"n": n, "word": None if w is None else list(w.letters)},
+                         cur, w, args.decimal)
+        if n < args.steps:
+            cur = step(cur)
 
 
 # --------------------------------------------------------------------- tree
 
 def _cmd_tree(args) -> int:
     root = parse_word(args.root, args.floor) if args.root else FiniteWord(args.floor, (args.floor,))
-    decode = {None: None, "cf": cf_decode, "bcf": bcf_decode, "dyadic": dyadic_decode}[args.values]
-    if args.values == "cf" and args.floor < 1:
-        raise ValueError("cf values need letters >= 1")
-    if args.values == "bcf" and args.floor < 2:
-        raise ValueError("bcf values need letters >= 2")
-    if args.values == "dyadic" and args.floor != 0:
-        raise ValueError("dyadic values need floor 0")
+    decode = None
+    if args.values:
+        low, _, decode = system(args.values)
+        if args.values == "dyadic" and args.floor != 0:
+            raise ValueError("dyadic values need floor 0")
+        if args.floor < low:
+            raise ValueError(f"{args.values} values need letters >= {low}")
 
-    if args.format == "json":
-        for depth in range(1, args.levels + 1):
-            for w in subtree_level(root, depth, args.mirror):
-                at = locate(w)
-                row = {"level": at.level, "pos": str(at.position),
-                       "word": _word_json(w), "floor": w.floor}
-                if decode:
-                    row["value"] = format_rational(decode(w))
-                    if args.decimal:
-                        row["decimal"] = _decimal_string(decode(w), args.decimal)
-                print(json.dumps(row, separators=(",", ":")))
-    else:
-        for depth in range(1, args.levels + 1):
-            row = subtree_level(root, depth, args.mirror)
+    for depth in range(1, args.levels + 1):
+        level = subtree_level(root, depth, args.mirror)
+        if args.format == "plain":
+            print(" ".join(_value_text(decode(w), args.decimal) if decode else str(w)
+                           for w in level))
+            continue
+        for w in level:
+            at = locate(w)
+            row = {"level": at.level, "pos": str(at.position), "word": list(w.letters),
+                   "floor": w.floor}
             if decode:
-                cells = [_decimal_string(decode(w), args.decimal) if args.decimal
-                         else str(decode(w)) for w in row]
-            else:
-                cells = [str(w) for w in row]
-            print(" ".join(cells))
+                row, _, _ = _value_row(row, decode(w), None, args.decimal)
+            print(json.dumps(row, separators=(",", ":")))
     return 0
 
 
 # -------------------------------------------------------------------- codec
 
 def _cmd_codec(args) -> int:
-    systems = {"cf": (cf_encode, cf_decode, 1), "bcf": (bcf_encode, bcf_decode, 2),
-               "dyadic": (dyadic_encode, dyadic_decode, 0)}
     src, dst = getattr(args, "from"), args.to
     if src == "word" and dst == "word":
         raise ValueError("at least one side must name a codec system")
-    if src in systems and dst == "word":
-        encode, _, _ = systems[src]
-        w = encode(parse_rational(args.input))
-        print("zero" if w is BCF_ZERO else str(w))
-    elif src == "word" and dst in systems:
-        _, decode, floor = systems[dst]
-        w = BCF_ZERO if args.input.strip() == "zero" else parse_word(args.input, floor)
-        print(decode(w))
-    else:
-        _, decode, floor = systems[src]
-        encode, _, _ = systems[dst]
-        w_in = BCF_ZERO if args.input.strip() == "zero" else parse_word(args.input, floor)
-        w_out = encode(decode(w_in))
-        print("zero" if w_out is BCF_ZERO else str(w_out))
+    if dst == "word":
+        print(system(src)[1](parse_rational(args.input)))
+        return 0
+    word_system = dst if src == "word" else src  # the input is a word of this system
+    floor, _, decode = system(word_system)
+    zero = word_system == "bcf" and args.input.strip() == "zero"  # bcf alone has a zero word
+    value = decode(BCF_ZERO if zero else parse_word(args.input, floor))
+    print(value if src == "word" else system(dst)[1](value))
     return 0
 
 
 # ------------------------------------------------------------------- verify
 
-def _check(name: str, ok: bool, detail: str) -> tuple[str, bool, str]:
-    return (name, ok, detail)
+Check = tuple[str, bool, str]  # (check name, passed, detail)
 
 
-def _suite_conjugacy(budget: int, rng: random.Random) -> list[tuple[str, bool, str]]:
+def _suite_conjugacy(budget: int, rng: random.Random) -> list[Check]:
     cases = 10_000
     bad = 0
     for _ in range(cases):
@@ -288,11 +239,11 @@ def _suite_conjugacy(budget: int, rng: random.Random) -> list[tuple[str, bool, s
         w = tail(pre, per)
         if block_encode(dyadic_step(w)) != baire_step(block_encode(w)):
             bad += 1
-    return [_check("conjugacy: recode(add 1) = step(recode)", bad == 0,
-                   f"{cases} random binary words, {bad} mismatches")]
+    return [("conjugacy: recode(add 1) = step(recode)", bad == 0,
+             f"{cases} random binary words, {bad} mismatches")]
 
 
-def _suite_renorm(budget: int, rng: random.Random) -> list[tuple[str, bool, str]]:
+def _suite_renorm(budget: int, rng: random.Random) -> list[Check]:
     bad = 0
     cases = 100
     for _ in range(cases):
@@ -308,8 +259,8 @@ def _suite_renorm(budget: int, rng: random.Random) -> list[tuple[str, bool, str]
                 lhs = baire_step(lhs)
             if lhs != words.drop_front(at[e], n):
                 bad += 1
-    return [_check("renormalization: step^m shift^n = shift^n step^(m 2^n 2^(w1+..+wn))",
-                   bad == 0, f"{cases} words x m,n <= 3, {bad} mismatches")]
+    return [("renormalization: step^m shift^n = shift^n step^(m 2^n 2^(w1+..+wn))",
+             bad == 0, f"{cases} words x m,n <= 3, {bad} mismatches")]
 
 
 def _orbit_states(w: TailWord, exponents: set[int]) -> dict[int, TailWord]:
@@ -325,86 +276,76 @@ def _orbit_states(w: TailWord, exponents: set[int]) -> dict[int, TailWord]:
     return states
 
 
-def _suite_counting(budget: int, rng: random.Random) -> list[tuple[str, bool, str]]:
+def _suite_counting(budget: int, rng: random.Random) -> list[Check]:
     level = min(budget, 15)
     count = (1 << level) - 1
-    ok = True
     prev = None
-    seen = 0
+    seen = 0  # the words checked before the first failure
     for n, w in enumerate(enumerate_words(1, count)):
         if total_index(w) != n or (prev is not None and compare_rlex(prev, w) != -1):
-            ok = False
             break
         prev = w
         seen += 1
-    return [_check("counting: top-down orbit of (1) is the ordered bijection",
-                   ok and seen == count, f"first {count} words (sums <= {level})")]
+    return [("counting: top-down orbit of (1) is the ordered bijection",
+             seen == count, f"first {count} words (sums <= {level})")]
 
 
-def _suite_oracles(budget: int, rng: random.Random) -> list[tuple[str, bool, str]]:
+def _reduced(q_max: int, start: int) -> Iterator[Fraction]:
+    """p/q in lowest terms for q <= q_max and start <= p < q + start:
+    the rationals of (0, 1] for start 1, of [0, 1) for start 0."""
+    for q in range(1, q_max + 1):
+        for p in range(start, q + start):
+            if math.gcd(p, q) == 1:
+                yield Fraction(p, q)
+
+
+def _suite_oracles(budget: int, rng: random.Random) -> list[Check]:
     q_max = min(200, max(20, 17 * budget))
     checks = []
 
     bad = total = 0
-    for q in range(1, q_max + 1):
-        for p in range(1, q + 1):
-            x = Fraction(p, q)
-            if x.denominator != q:
-                continue
-            total += 1
-            oracle = cf_decode(word_step(cf_encode(x), Policy.CYCLIC))
-            if gauss_odometer(x) != oracle:
-                bad += 1
-    checks.append(_check("gauss closed form = cyclic word action", bad == 0,
-                         f"{total} rationals, q <= {q_max}, {bad} mismatches"))
+    for x in _reduced(q_max, 1):
+        total += 1
+        bad += gauss_odometer(x) != cf_decode(word_step(cf_encode(x), Policy.CYCLIC))
+    checks.append(("gauss closed form = cyclic word action", bad == 0,
+                   f"{total} rationals, q <= {q_max}, {bad} mismatches"))
 
     bad = total = 0
-    for q in range(1, q_max + 1):
-        for p in range(q):
-            x = Fraction(p, q)
-            if x.denominator != q:
-                continue
-            total += 1
-            stepped = baire_step(bcf_tail_form(bcf_encode(x)))
-            if renyi_odometer(x) != bcf_decode(bcf_finite_form(stepped)):
-                bad += 1
-    checks.append(_check("renyi closed form = backward word action", bad == 0,
-                         f"{total} rationals, q <= {q_max}, {bad} mismatches"))
+    for x in _reduced(q_max, 0):
+        total += 1
+        stepped = baire_step(bcf_tail_form(bcf_encode(x)))
+        bad += renyi_odometer(x) != bcf_decode(bcf_finite_form(stepped))
+    checks.append(("renyi closed form = backward word action", bad == 0,
+                   f"{total} rationals, q <= {q_max}, {bad} mismatches"))
 
     for k in (2, 3):
         bad = total = 0
-        for q in range(1, q_max + 1):
-            for p in range(1, q + 1):
-                x = Fraction(p, q)
-                if x.denominator != q:
-                    continue
-                w = cf_encode(x)
-                if any(a < k for a in w.letters):
-                    continue
-                total += 1
-                oracle = cf_decode(word_step(FiniteWord(k, w.letters), Policy.CYCLIC))
-                if k_gauss_odometer(x, k) != oracle:
-                    bad += 1
-        checks.append(_check(f"restricted gauss closed form (k={k}) = word action",
-                             bad == 0, f"{total} admissible rationals, {bad} mismatches"))
+        for x in _reduced(q_max, 1):
+            w = cf_encode(x)
+            if any(a < k for a in w.letters):
+                continue
+            total += 1
+            oracle = cf_decode(word_step(FiniteWord(k, w.letters), Policy.CYCLIC))
+            bad += k_gauss_odometer(x, k) != oracle
+        checks.append((f"restricted gauss closed form (k={k}) = word action",
+                       bad == 0, f"{total} admissible rationals, {bad} mismatches"))
 
     depth = 1 << min(budget, 12)
-    for system in ("cf", "bcf", "dyadic"):
-        enum = list(analysis.enumerate_rationals(system, depth, "root"))
-        oracle = list(analysis.bfs_oracle(system, depth))
-        checks.append(_check(f"{system} enumeration = son-rule breadth-first oracle",
-                             enum == oracle, f"first {depth} values"))
+    for name in SYSTEMS:
+        enum = list(analysis.enumerate_rationals(name, depth, "root"))
+        oracle = list(analysis.bfs_oracle(name, depth))
+        checks.append((f"{name} enumeration = son-rule breadth-first oracle",
+                       enum == oracle, f"first {depth} values"))
     stern_side = list(analysis.stern_oracle(depth))
     bcf_side = list(analysis.enumerate_rationals("bcf", depth))
-    checks.append(_check("bcf enumeration = Stern diatomic oracle",
-                         stern_side == bcf_side, f"first {depth} values"))
+    checks.append(("bcf enumeration = Stern diatomic oracle",
+                   stern_side == bcf_side, f"first {depth} values"))
     return checks
 
 
-def _suite_periods(budget: int, rng: random.Random) -> list[tuple[str, bool, str]]:
+def _suite_periods(budget: int, rng: random.Random) -> list[Check]:
+    name = "gauss odometer periods are exactly 2^(digit sum - 2)"
     top = min(budget, 12)
-    ok = True
-    detail = f"levels 2..{top}"
     for s in range(2, top + 1):
         cycle = 1 << (s - 1)
         v = Fraction(1, s)
@@ -413,29 +354,24 @@ def _suite_periods(budget: int, rng: random.Random) -> list[tuple[str, bool, str
             at.setdefault(v, []).append(i)
             v = gauss_odometer(v)
         if v != Fraction(1, s) or len(at) != 1 << (s - 2):
-            ok = False
-            detail = f"cycle of level {s} broken"
-            break
+            return [(name, False, f"cycle of level {s} broken")]
         if any(len(p) != 2 or p[1] - p[0] != 1 << (s - 2) for p in at.values()):
-            ok = False
-            detail = f"period at level {s} is not exactly 2^{s - 2}"
-            break
-    return [_check("gauss odometer periods are exactly 2^(digit sum - 2)", ok, detail)]
+            return [(name, False, f"period at level {s} is not exactly 2^{s - 2}")]
+    return [(name, True, f"levels 2..{top}")]
 
 
-def _suite_distribution(budget: int, rng: random.Random) -> list[tuple[str, bool, str]]:
+def _suite_distribution(budget: int, rng: random.Random) -> list[Check]:
     count = 1 << min(budget + 4, 16)
     ks = analysis.distribution_test(count, 1024)
     control = analysis.distribution_test(count, 1024, "uniform")
     freq = analysis.frequency_test(0, count)
     worst = max(abs(freq.get(a, 0.0) - 2.0 ** (-a - 1)) for a in range(6))
     return [
-        _check("cf enumeration follows the question-mark distribution",
-               ks < 0.02, f"KS {ks:.5f} over {count} samples"),
-        _check("negative control: uniform reference fails", control > 0.1,
-               f"KS {control:.5f}"),
-        _check("first-letter frequencies match 2^-(k+1)", worst < 0.01,
-               f"max deviation {worst:.5f} over {count} steps"),
+        ("cf enumeration follows the question-mark distribution",
+         ks < 0.02, f"KS {ks:.5f} over {count} samples"),
+        ("negative control: uniform reference fails", control > 0.1, f"KS {control:.5f}"),
+        ("first-letter frequencies match 2^-(k+1)", worst < 0.01,
+         f"max deviation {worst:.5f} over {count} steps"),
     ]
 
 
@@ -481,15 +417,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="enumerate rationals in codec order")
-    p.add_argument("--system", required=True, choices=["cf", "bcf", "dyadic"])
+    p.add_argument("--system", required=True, choices=SYSTEMS)
     p.add_argument("--count", required=True, type=_at_least(1))
     p.add_argument("--offset", choices=["root", "zero"], default=None)
     p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
     p.add_argument("--decimal", type=_at_least(1), default=None, metavar="BITS")
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=lambda args: _emit(_enumerate_rows(args), args.format))
 
     p = sub.add_parser("orbit", help="iterate an odometer or interval map")
-    p.add_argument("--map", required=True, choices=list(WORD_MAPS) + list(RATIONAL_MAPS))
+    p.add_argument("--map", required=True, choices=[*WORD_MAPS, *RATIONAL_MAPS])
     p.add_argument("--start", required=True, metavar="WORD|P/Q")
     p.add_argument("--steps", required=True, type=_at_least(0))
     p.add_argument("--policy", choices=[pol.value for pol in Policy], default="topdown")
@@ -497,21 +433,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=["right", "left"], default="right")
     p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
     p.add_argument("--decimal", type=_at_least(1), default=None, metavar="BITS")
-    p.set_defaults(func=_cmd_orbit)
+    p.set_defaults(func=lambda args: _emit(_orbit_rows(args), args.format))
 
     p = sub.add_parser("tree", help="print levels of a word tree")
     p.add_argument("--floor", required=True, type=int)
     p.add_argument("--levels", required=True, type=_at_least(1))
     p.add_argument("--root", default=None, metavar="WORD")
-    p.add_argument("--values", choices=["cf", "bcf", "dyadic"], default=None)
+    p.add_argument("--values", choices=SYSTEMS, default=None)
     p.add_argument("--mirror", action="store_true")
     p.add_argument("--format", choices=["json", "plain"], default="plain")
     p.add_argument("--decimal", type=_at_least(1), default=None, metavar="BITS")
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("codec", help="convert between words and rationals")
-    p.add_argument("--from", required=True, dest="from", choices=["cf", "bcf", "dyadic", "word"])
-    p.add_argument("--to", required=True, choices=["cf", "bcf", "dyadic", "word"])
+    p.add_argument("--from", required=True, dest="from", choices=SYSTEMS + ("word",))
+    p.add_argument("--to", required=True, choices=SYSTEMS + ("word",))
     p.add_argument("input", metavar="INPUT")
     p.set_defaults(func=_cmd_codec)
 
@@ -529,12 +465,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    # exact output has no size cap: lift CPython's int/str digit limit meanwhile
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        line = f"error: {exc}"
+        if len(line) > ERROR_WIDTH:
+            line = line[:ERROR_WIDTH - 3] + "..."
+        print(line, file=sys.stderr)
         return 2
-
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 if __name__ == "__main__":
     sys.exit(main())

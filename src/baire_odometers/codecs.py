@@ -7,7 +7,8 @@ Three numeration systems pair finite words with rationals:
   a twin expansion ending in 1.
 * bcf: x = 1 - 1/(a1 - 1/(a2 - ...)), letters >= 2.  Each rational in (0,1)
   has exactly one finite word; 0 is represented by the marker BCF_ZERO (its
-  infinite form is the constant word of 2s).
+  infinite form is the constant word of 2s), which reads like a word with
+  no letters and prints as "zero".
 * dyadic: x = 0.b1 b2 ... with a finite binary expansion; letters over
   floor 0 code the maximal 1-runs between 0s, the last letter coding the
   trailing run of 1s.
@@ -39,6 +40,11 @@ def format_rational(x: Fraction) -> str:
 class _BcfZero:
     """Marker for the rational 0, whose backward expansion never terminates."""
 
+    letters = ()
+
+    def __str__(self) -> str:
+        return "zero"
+
     def __repr__(self) -> str:
         return "BCF_ZERO"
 
@@ -46,6 +52,17 @@ class _BcfZero:
 BCF_ZERO = _BcfZero()
 
 BcfWord = FiniteWord | _BcfZero
+
+
+SYSTEMS = ("cf", "bcf", "dyadic")
+
+
+def system(name: str) -> tuple:
+    """(floor, encode, decode) of "cf", "bcf" or "dyadic".  The codecs are read
+    at each call, so a caller gets the functions bound here now (a profiler may
+    have wrapped them)."""
+    return {"cf": (1, cf_encode, cf_decode), "bcf": (2, bcf_encode, bcf_decode),
+            "dyadic": (0, dyadic_encode, dyadic_decode)}[name]
 
 
 def cf_encode(x: Fraction) -> FiniteWord:

@@ -54,9 +54,9 @@ def dyadic_interval_step(x: Fraction) -> Fraction:
     """x + 3/2^n - 1 on the branch [1 - 2^(1-n), 1 - 2^(-n)); domain [0, 1)."""
     if not 0 <= x < 1:
         raise ValueError(f"{x} outside [0, 1)")
-    n = 1
-    while x >= 1 - Fraction(1, 1 << n):
-        n += 1
+    # the least n with 2^n > 1/(1-x) = q/(q-p), i.e. with 2^n > floor(q/(q-p))
+    p, q = x.numerator, x.denominator
+    n = (q // (q - p)).bit_length()
     return x + Fraction(3, 1 << n) - 1
 
 
@@ -76,28 +76,24 @@ class FibPair:
 def fib(k: int, n: int) -> FibPair:
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    return FibPair(n, _b(k, n), _b(k, n) + _b(k, n - 1) if n >= 1 else 1)
+    b_prev, b_n = _b(k, n)
+    return FibPair(n, b_n, b_n + b_prev)
 
 
-def _b(k: int, n: int) -> int:
-    # b(-1) = 1 and b(-2) = -k extend the recurrence below n = 0
-    if n == -1:
-        return 1
-    if n == -2:
-        return -k
-    if n < -2:
-        raise ValueError("index below -2")
-    prev, cur = 1, 0
-    for _ in range(n):
+def _b(k: int, n: int) -> tuple[int, int]:
+    """(b(n-1), b(n)) for n >= -1, in one pass from (b(-2), b(-1)) = (-k, 1),
+    the values that extend the recurrence below n = 0."""
+    prev, cur = -k, 1
+    for _ in range(n + 1):
         prev, cur = cur, k * cur + prev
-    return cur
+    return prev, cur
 
 
 def golden_mean_k(k: int, n: int) -> Fraction:
     """Exact convergent b(n)/b(n+1) of 1/phi_k, phi_k = (k + sqrt(k^2+4))/2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Fraction(_b(k, n), _b(k, n + 1))
+    return Fraction(*_b(k, n + 1))
 
 
 class Boundary(Enum):
@@ -107,7 +103,8 @@ class Boundary(Enum):
 
 def _moebius(x: Fraction, k: int, m: int, j: int) -> Fraction:
     # (x*(b_j - m*d_j) + d_j) / (x*(b_{j+1} - m*d_{j+1}) + d_{j+1})
-    b_prev, b_j, b_next = _b(k, j - 1), _b(k, j), _b(k, j + 1)
+    b_prev, b_j = _b(k, j)
+    b_next = k * b_j + b_prev
     d_j, d_next = b_j + b_prev, b_next + b_j
     return (x * (b_j - m * d_j) + d_j) / (x * (b_next - m * d_next) + d_next)
 
@@ -160,8 +157,7 @@ def k_gauss_odometer(x: Fraction, k: int) -> Fraction:
     """
     w = _k_digits(x, k)
     if len(w) == 1:
-        i = w.letters[0] - k + 1
-        return Fraction(_b(k, i), _b(k, i + 1))
+        return Fraction(*_b(k, w.letters[0] - k + 2))
     m = w.letters[0]
     return _moebius(x, k, m, m - k)
 
@@ -178,7 +174,8 @@ def k_gauss_odometer_shifted(x: Fraction, k: int) -> Fraction:
     p, q = x.numerator, x.denominator
     m = -(-q // p) - 1
     n = m - k
-    b_n, b_next, b_after = _b(k, n), _b(k, n + 1), _b(k, n + 2)
+    b_n, b_next = _b(k, n + 1)
+    b_after = k * b_next + b_n
     d_next, d_after = b_next + b_n, b_after + b_next
     return (x * (b_n - n * d_next) + d_next) / (x * (b_next - n * d_after) + d_after)
 

@@ -1,10 +1,27 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baire_odometers.cli import main
+from baire_odometers.interval_maps import gauss_odometer
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default int/str digit limit for one test, the previous limit restored after."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
 
 
 def run(capsys, *argv):
@@ -136,6 +153,37 @@ class TestOrbit:
         assert rows[1] == ["0", "(1,2)", "2/3"]
         assert rows[2] == ["1", "(3)", "1/3"]
 
+    @pytest.mark.parametrize("renyi_map", ["OR", "renyi"])
+    def test_csv_zero_cell_round_trips(self, capsys, renyi_map):
+        code, out, _ = run(capsys, "orbit", "--map", renyi_map, "--start", "0", "--steps", "1",
+                           "--format", "csv")
+        assert code == 0
+        row = list(csv.reader(io.StringIO(out)))[1]
+        assert row == ["0", "zero", "0/1"]
+        code, out, _ = run(capsys, "codec", "--from", "word", "--to", "bcf", row[1])
+        assert code == 0
+        assert Fraction(out.strip()) == Fraction(row[2])
+
+    def test_exact_output_above_int_digit_limit(self, capsys, digit_limit):
+        code, out, err = run(capsys, "orbit", "--map", "OG", "--start", "1/30000", "--steps", "1")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == digit_limit
+        p, q = out.splitlines()[1].split("/")
+        assert len(p) > digit_limit
+        want = gauss_odometer(Fraction(1, 30000))
+        sys.set_int_max_str_digits(0)  # the fixture restores it
+        assert (int(p), int(q)) == (want.numerator, want.denominator)
+
+    def test_long_error_line_is_bounded(self, capsys, digit_limit):
+        # the start row prints; the step out of (0, 1] fails with the 401-digit value
+        code, _, err = run(capsys, "orbit", "--map", "OG", "--start", "1e400", "--steps", "1")
+        assert code == 2
+        assert sys.get_int_max_str_digits() == digit_limit
+        line, = err.splitlines()
+        assert line.startswith("error: 1000")
+        assert line.endswith("...")
+        assert len(line) <= 200
+
 
 class TestTree:
     def test_word_rows(self, capsys):
@@ -195,6 +243,8 @@ class TestCodec:
         assert out.strip() == "zero"
         code, out, _ = run(capsys, "codec", "--from", "word", "--to", "bcf", "zero")
         assert out.strip() == "0"
+        code, out, _ = run(capsys, "codec", "--from", "bcf", "--to", "bcf", "zero")
+        assert (code, out) == (0, "zero\n")
 
     def test_word_to_word_rejected(self, capsys):
         code, _, err = run(capsys, "codec", "--from", "word", "--to", "word", "1,2")
@@ -208,6 +258,43 @@ class TestCodec:
     def test_parens_accepted(self, capsys):
         code, out, _ = run(capsys, "codec", "--from", "word", "--to", "cf", "(1,2)")
         assert out.strip() == "2/3"
+
+    @pytest.mark.parametrize("src, dst", [
+        ("cf", "cf"), ("cf", "bcf"), ("cf", "dyadic"),
+        ("dyadic", "cf"), ("dyadic", "bcf"), ("dyadic", "dyadic"),
+        ("word", "cf"), ("word", "dyadic"),
+    ])
+    def test_zero_word_only_in_bcf(self, capsys, src, dst):
+        code, out, err = run(capsys, "codec", "--from", src, "--to", dst, "zero")
+        assert (code, out, err) == (2, "", "error: malformed word 'zero'\n")
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+CODEC_DOMAINS = {
+    "cf": unit_fractions.filter(lambda x: x > 0),
+    "bcf": unit_fractions.filter(lambda x: x < 1),
+    "dyadic": st.integers(1, 80).flatmap(
+        lambda m: st.integers(0, (1 << (m - 1)) - 1).map(lambda p: Fraction(2 * p + 1, 1 << m))),
+}
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(CODEC_DOMAINS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_codec_round_trip_through_word(name, data):
+    x = data.draw(CODEC_DOMAINS[name])
+    code, word_text, _ = run_quiet("codec", "--from", name, "--to", "word", str(x))
+    assert code == 0
+    code, value, _ = run_quiet("codec", "--from", "word", "--to", name, word_text.strip())
+    assert code == 0
+    assert Fraction(value.strip()) == x
 
 
 RENORM_BUDGET_8 = (
@@ -291,6 +378,16 @@ class TestUsage:
         assert len(err.splitlines()[-1]) < 120
 
     @pytest.mark.parametrize("argv", [
+        ["enumerate", "--system", "cf", "--offset", "zero", "--count", "3", "--format", "csv"],
+        ["orbit", "--map", "O", "--start", "1,0", "--steps", "2", "--format", "csv"],
+        ["orbit", "--map", "OGk", "--k", "0", "--start", "1/3", "--steps", "1", "--format", "csv"],
+    ])
+    def test_error_before_first_row_prints_nothing(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
         ["orbit", "--map", "OG", "--start", "1/3", "--steps", "0"],
         ["verify", "--suite", "counting", "--budget", "0"],
         ["orbit", "--map", "OGk", "--k", "1", "--start", "1/3", "--steps", "1"],
@@ -299,3 +396,52 @@ class TestUsage:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out
+
+
+# Line count and sha256 prefix of stdout for commands whose output is pinned:
+# every command, format, --decimal, --mirror, tail-word orbits and the bcf
+# word of 0.
+GOLDEN = [
+    ("enumerate --system cf --count 40", 40, "8833d8d6bf7797e8"),
+    ("enumerate --system bcf --count 40 --format json", 40, "6069569b10c3ad09"),
+    ("enumerate --system dyadic --count 40 --format csv", 41, "457a952e9314aebd"),
+    ("enumerate --system bcf --count 30 --format csv", 31, "34525e13236b3cfb"),
+    ("enumerate --system cf --count 20 --format json --decimal 12", 20, "ab3e24991c5f0e4b"),
+    ("enumerate --system dyadic --count 20 --decimal 30", 20, "5860f9b472d8ac7b"),
+    ("enumerate --system bcf --count 20 --offset root --format json", 20, "68f86068c1ee286e"),
+    ("enumerate --system bcf --count 10 --format csv --decimal 8", 11, "4a3869772d435637"),
+    ("orbit --map OG --start 3/5 --steps 20", 21, "f080ebc857d1f9d2"),
+    ("orbit --map OG --start 3/5 --steps 20 --format json --decimal 16", 21, "53038a0f55236230"),
+    ("orbit --map OG --start 3/7 --steps 6 --boundary left --format csv", 8, "39b3bd782c8667f2"),
+    ("orbit --map OR --start 0 --steps 20 --format json", 21, "70e2258d94d62573"),
+    ("orbit --map OR --start 0 --steps 20 --format csv", 22, "5ee2f126ed821b1b"),
+    ("orbit --map OGk --k 3 --start 1/7 --steps 15 --format csv", 17, "aa83f908bbd080ce"),
+    ("orbit --map gauss --start 5/13 --steps 3 --format json", 4, "efaf0205683fb380"),
+    ("orbit --map renyi --start 4/7 --steps 4 --format json", 5, "e5b1b5ddffc94992"),
+    ("orbit --map interval-dyadic --start 1/2 --steps 30 --format csv", 32, "524effc1cbc486c8"),
+    ("orbit --map interval-dyadic --start 5/8 --steps 10 --decimal 20", 11, "cf715b7ac7330ec7"),
+    ("orbit --map O --start 1,1,0,1;0 --steps 12 --format json", 13, "f1cb7990237f9e18"),
+    ("orbit --map O0 --start 3;1,0 --steps 10 --format csv", 12, "e5937c567c329f94"),
+    ("orbit --map Ok --k 2 --start 3,2;5 --steps 10", 11, "9f498e6f29514a6e"),
+    ("orbit --map O0 --start 1 --steps 30 --format json", 31, "2f476e54b5205607"),
+    ("orbit --map Ok --k 1 --start 2 --steps 15 --policy cyclic --format csv", 17, "d8af9ccadc80978b"),
+    ("orbit --map O0 --start 0,2 --steps 15 --policy subtree", 16, "472f2923a91dce5d"),
+    ("tree --floor 1 --levels 5", 5, "1b7d375b4ae10c45"),
+    ("tree --floor 1 --levels 4 --values cf --mirror", 4, "c9b493bd15731644"),
+    ("tree --floor 2 --levels 4 --values bcf --format json", 15, "7cb32b7c5afc7042"),
+    ("tree --floor 0 --levels 4 --values dyadic --format json --decimal 10", 15, "c5a0d2472c91ea4b"),
+    ("tree --floor 1 --levels 3 --root 2,1 --values cf --decimal 12", 3, "6ba4a38cd597c036"),
+    ("tree --floor 1 --levels 3 --format json --mirror", 7, "316b3546be70f82c"),
+    ("codec --from cf --to bcf 1,1,3", 1, "653e1fb0a70de093"),
+    ("codec --from bcf --to word 0/1", 1, "ff9fb51036a15c5c"),
+    ("codec --from word --to bcf zero", 1, "9a271f2a916b0b6e"),
+    ("codec --from dyadic --to word 19/32", 1, "9c1ba490126115f5"),
+]
+
+
+@pytest.mark.parametrize("command, lines, digest", GOLDEN)
+def test_golden_stdout(capsys, command, lines, digest):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -4,8 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from baire_odometers import codecs
 from baire_odometers.codecs import (
     BCF_ZERO,
+    SYSTEMS,
     bcf_decode,
     bcf_encode,
     bcf_finite_form,
@@ -17,6 +19,7 @@ from baire_odometers.codecs import (
     format_rational,
     is_canonical_cf,
     parse_rational,
+    system,
     twin,
 )
 from baire_odometers.words import FiniteWord, tail, word
@@ -128,6 +131,8 @@ class TestBcfCodec:
         assert bcf_encode(Fraction(0)) is BCF_ZERO
         assert bcf_decode(BCF_ZERO) == 0
         assert repr(BCF_ZERO) == "BCF_ZERO"
+        assert BCF_ZERO.letters == ()
+        assert str(BCF_ZERO) == "zero"
 
     def test_decode_examples(self):
         assert bcf_decode(FiniteWord(2, (4,))) == Fraction(3, 4)
@@ -212,3 +217,36 @@ class TestDyadicCodec:
         # words ending in 0 (non-reduced trailing zeros) still decode
         assert dyadic_decode(FiniteWord(0, (0,))) == 0
         assert dyadic_decode(FiniteWord(0, (1, 0))) == Fraction(1, 2)
+
+
+class TestSystemTable:
+    def test_names(self):
+        assert SYSTEMS == ("cf", "bcf", "dyadic")
+        with pytest.raises(KeyError):
+            system("word")
+
+    def test_entries(self):
+        assert system("cf") == (1, cf_encode, cf_decode)
+        assert system("bcf") == (2, bcf_encode, bcf_decode)
+        assert system("dyadic") == (0, dyadic_encode, dyadic_decode)
+
+    @pytest.mark.parametrize("name, values", [
+        ("cf", [Fraction(1), Fraction(1, 2), Fraction(5, 13)]),
+        ("bcf", [Fraction(0), Fraction(1, 2), Fraction(4, 7)]),
+        ("dyadic", [Fraction(1, 2), Fraction(19, 32)]),
+    ])
+    def test_round_trip_with_printable_words(self, name, values):
+        floor, encode, decode = system(name)
+        for x in values:
+            w = encode(x)
+            assert decode(w) == x
+            assert all(a >= floor for a in w.letters)
+            assert str(w) == ("zero" if x == 0 else "(" + ",".join(map(str, w.letters)) + ")")
+
+    def test_reads_the_module_at_call_time(self, monkeypatch):
+        # a wrapper bound into the module (as a profiler installs one) is what callers get
+        def wrapped(x):
+            return cf_encode(x)
+
+        monkeypatch.setattr(codecs, "cf_encode", wrapped)
+        assert system("cf")[1] is wrapped

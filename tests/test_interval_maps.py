@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from baire_odometers.codecs import bcf_encode, cf_decode, cf_encode, BCF_ZERO
 from baire_odometers.interval_maps import (
     Boundary,
+    _b,
     FibPair,
     cmi_odometer,
     dyadic_interval_step,
@@ -25,6 +27,26 @@ from baire_odometers.interval_maps import (
 from baire_odometers.word_actions import Policy, step as word_step
 from baire_odometers.words import FiniteWord
 from test_codecs import reduced_fractions
+
+
+def dyadic_step_by_search(x):
+    """Reference branch search: the least n >= 1 with x < 1 - 2^-n."""
+    n = 1
+    while x >= 1 - Fraction(1, 1 << n):
+        n += 1
+    return x + Fraction(3, 1 << n) - 1
+
+
+def b_by_loop(k, n):
+    """Reference k-Fibonacci b(n) for n >= -2, one loop per index."""
+    if n == -1:
+        return 1
+    if n == -2:
+        return -k
+    prev, cur = 1, 0
+    for _ in range(n):
+        prev, cur = cur, k * cur + prev
+    return cur
 
 
 class TestGaussMap:
@@ -85,8 +107,30 @@ class TestDyadicIntervalStep:
             with pytest.raises(ValueError):
                 dyadic_interval_step(bad)
 
+    def test_closed_form_matches_branch_search(self):
+        rng = random.Random(7)
+        points = list(reduced_fractions(199, include_zero=True))
+        for _ in range(2000):
+            bits = rng.randrange(1, 80)
+            points.append(Fraction(rng.randrange(1 << bits), 1 << bits))
+        # a 400-bit dyadic whose binary expansion opens with a run of 200 ones
+        run = (1 << 200) - 1
+        points.append(Fraction((run << 200) | rng.getrandbits(199) | 1, 1 << 400))
+        for x in points:
+            assert dyadic_interval_step(x) == dyadic_step_by_search(x)
+
 
 class TestFib:
+    def test_pairs_match_loop(self):
+        for k in range(1, 6):
+            for n in range(-1, 60):
+                assert _b(k, n) == (b_by_loop(k, n - 1), b_by_loop(k, n))
+            for n in range(60):
+                assert fib(k, n) == FibPair(n, b_by_loop(k, n),
+                                            b_by_loop(k, n) + b_by_loop(k, n - 1) if n else 1)
+                if n >= 1:
+                    assert golden_mean_k(k, n) == Fraction(b_by_loop(k, n), b_by_loop(k, n + 1))
+
     def test_k1_is_fibonacci(self):
         assert [fib(1, n).b for n in range(7)] == [0, 1, 1, 2, 3, 5, 8]
 
