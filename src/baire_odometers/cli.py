@@ -173,10 +173,29 @@ def _value_orbit_rows(args) -> Iterator[Row]:
             w = encode(cur)
         except ValueError:  # the point lies outside the codec's domain
             w = None
+        if n == 0:
+            _check_start(args, cur, w, k)
         yield _value_row({"n": n, "word": None if w is None else list(w.letters)},
                          cur, w, args.decimal)
         if n < args.steps:
             cur = step(cur)
+
+
+def _check_start(args, x: Fraction, w, k: int) -> None:
+    """Reject a start outside the domain of the interval map before its row
+    is printed; w is the start's codec word, None outside the codec's domain.
+    A step rejects a point only after that point's row."""
+    if args.map == "OGk":  # cf digits >= k, which puts x in (0, 1/k]
+        ok = w is not None and all(a >= k for a in w.letters)
+        domain = f"(0, 1/{k}] with continued-fraction digits >= {k}"
+    elif args.map in ("OR", "renyi", "interval-dyadic"):
+        ok, domain = 0 <= x < 1, "[0, 1)"
+    elif args.map == "OG" and args.boundary == "left":
+        ok, domain = 0 < x < 1, "(0, 1)"
+    else:  # OG, gauss
+        ok, domain = 0 < x <= 1, "(0, 1]"
+    if not ok:
+        raise ValueError(f"{x} outside {domain}")
 
 
 # --------------------------------------------------------------------- tree

@@ -81,18 +81,42 @@ def cf_encode(x: Fraction) -> FiniteWord:
     return FiniteWord(1, tuple(digits))
 
 
-def cf_decode(w: FiniteWord) -> Fraction:
-    """Evaluate 1/(a1 + 1/(a2 + ...)) exactly via continuant recurrences.
+_LEAF = 32  # runs up to this length are multiplied out letter by letter (16-64 time the same)
 
-    Accepts any word with letters >= 1, canonical or not.
+
+def _letter_product(letters: tuple[int, ...], e: int) -> tuple[int, int, int, int]:
+    """(A, B, C, D) with [[A, B], [C, D]] the product, left to right, of the
+    matrices [[a, e], [1, 0]] over the letters.
+
+    A run of at most _LEAF letters is multiplied out one letter at a time
+    (the continuant recurrences); a longer one is split in halves whose
+    products are multiplied together.  The big multiplications then pair
+    operands of equal size: O(log n) rounds of them for n letters, instead of
+    n steps that each grow an integer as long as the result.
+    """
+    if len(letters) <= _LEAF:
+        a_, b_, c_, d_ = 1, 0, 0, 1
+        for a in letters:
+            a_, b_ = a * a_ + b_, e * a_
+            c_, d_ = a * c_ + d_, e * c_
+        return a_, b_, c_, d_
+    half = len(letters) // 2
+    a1, b1, c1, d1 = _letter_product(letters[:half], e)
+    a2, b2, c2, d2 = _letter_product(letters[half:], e)
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def cf_decode(w: FiniteWord) -> Fraction:
+    """Evaluate 1/(a1 + 1/(a2 + ...)) exactly.
+
+    The product of the letter matrices [[a, 1], [1, 0]] has the continuants
+    q_n over p_n in its first column, and x = p_n/q_n.  Accepts any word with
+    letters >= 1, canonical or not.
     """
     if w.floor < 1:
         raise ValueError("continued-fraction words need letters >= 1")
-    p, p_prev = 0, 1
-    q, q_prev = 1, 0
-    for a in w.letters:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+    q, _, p, _ = _letter_product(w.letters, 1)
     return Fraction(p, q)
 
 
@@ -138,18 +162,17 @@ def bcf_encode(x: Fraction) -> BcfWord:
 
 
 def bcf_decode(w: BcfWord) -> Fraction:
-    """Evaluate 1 - 1/(a1 - 1/(a2 - ...)) exactly, bottom up; BCF_ZERO -> 0.
+    """Evaluate 1 - 1/(a1 - 1/(a2 - ...)) exactly; BCF_ZERO -> 0.
 
-    The engine a_i - 1/(a_{i+1} - ...) is kept as an integer pair p/q with
-    (p, q) <- (a*p - q, p), so only the final 1 - q/p builds a Fraction.
+    The engine E = a1 - 1/(a2 - ...) is p/q with (p, q) the first column of
+    the product of the letter matrices [[a, -1], [1, 0]], so only the final
+    1 - q/p builds a Fraction.
     """
     if isinstance(w, _BcfZero):
         return Fraction(0)
     if any(a < 2 for a in w.letters):
         raise ValueError("backward continued-fraction words need letters >= 2")
-    p, q = 1, 0
-    for a in reversed(w.letters):
-        p, q = a * p - q, p
+    p, _, q, _ = _letter_product(w.letters, -1)
     return Fraction(p - q, p)
 
 

@@ -81,12 +81,21 @@ def fib(k: int, n: int) -> FibPair:
 
 
 def _b(k: int, n: int) -> tuple[int, int]:
-    """(b(n-1), b(n)) for n >= -1, in one pass from (b(-2), b(-1)) = (-k, 1),
-    the values that extend the recurrence below n = 0."""
-    prev, cur = -k, 1
-    for _ in range(n + 1):
-        prev, cur = cur, k * cur + prev
-    return prev, cur
+    """(b(n-1), b(n)) for n >= -1, with (b(-2), b(-1)) = (-k, 1), the values
+    that extend the recurrence below n = 0.
+
+    Fast doubling over the bits of n - 1, from (b(h), b(h+1)) by
+    b(2h) = b(h)*(2*b(h+1) - k*b(h)) and b(2h+1) = b(h)^2 + b(h+1)^2:
+    O(log n) multiplications instead of n recurrence steps.
+    """
+    if n < 1:
+        return (-k, 1) if n == -1 else (1, 0)
+    lo, hi = 0, 1  # (b(h), b(h+1)) at h = 0
+    for bit in bin(n - 1)[2:]:
+        lo, hi = lo * (2 * hi - k * lo), lo * lo + hi * hi
+        if bit == "1":
+            lo, hi = hi, k * hi + lo
+    return lo, hi
 
 
 def golden_mean_k(k: int, n: int) -> Fraction:
@@ -102,11 +111,13 @@ class Boundary(Enum):
 
 
 def _moebius(x: Fraction, k: int, m: int, j: int) -> Fraction:
-    # (x*(b_j - m*d_j) + d_j) / (x*(b_{j+1} - m*d_{j+1}) + d_{j+1})
+    # (x*(b_j - m*d_j) + d_j) / (x*(b_{j+1} - m*d_{j+1}) + d_{j+1}), over the
+    # integers p/q = x, so that one Fraction is built
     b_prev, b_j = _b(k, j)
     b_next = k * b_j + b_prev
     d_j, d_next = b_j + b_prev, b_next + b_j
-    return (x * (b_j - m * d_j) + d_j) / (x * (b_next - m * d_next) + d_next)
+    p, q = x.numerator, x.denominator
+    return Fraction(p * (b_j - m * d_j) + q * d_j, p * (b_next - m * d_next) + q * d_next)
 
 
 def gauss_odometer(x: Fraction, boundary: Boundary = Boundary.RIGHT) -> Fraction:
@@ -257,19 +268,28 @@ def renyi_cmi() -> CmiMap:
 def question_mark(x: Fraction, precision_bits: int | None = None) -> Fraction:
     """Minkowski question-mark function, exact on rationals.
 
-    Evaluated as the alternating series sum of (-1)^(i+1) * 2^(1-(a1+...+ai))
-    over the continued-fraction digits.  With precision_bits set, the exact
-    value is rounded to that many fractional bits (display use).
+    The value is the alternating series sum of (-1)^(i+1) * 2^(1-s_i) over
+    the continued-fraction digits, s_i = a1+...+ai.  Scaled by 2^(S-1), S the
+    digit sum, each term is one bit S - s_i, so the series is the difference
+    of two integers, the bits of the positive and of the negative terms.
+    Each is set in a little-endian byte buffer and read in one pass, and one
+    Fraction is built at the end.  With precision_bits set, the exact value
+    is rounded to that many fractional bits (display use).
     """
     if not 0 <= x <= 1:
         raise ValueError(f"{x} outside [0, 1]")
     total = Fraction(0)
     if x > 0:
+        digits = cf_encode(x).letters
+        size = sum(digits)
+        plus, minus = bytearray(size // 8 + 1), bytearray(size // 8 + 1)
         s = 0
-        for i, a in enumerate(cf_encode(x).letters):
+        for i, a in enumerate(digits):
             s += a
-            term = Fraction(2) ** (1 - s)
-            total += term if i % 2 == 0 else -term
+            bit = size - s
+            (minus if i % 2 else plus)[bit >> 3] |= 1 << (bit & 7)
+        total = Fraction(int.from_bytes(plus, "little") - int.from_bytes(minus, "little"),
+                         1 << (size - 1))
     if precision_bits is not None:
         scale = 1 << precision_bits
         return Fraction(round(total * scale), scale)

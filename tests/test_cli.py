@@ -141,9 +141,39 @@ class TestOrbit:
         assert out.splitlines() == ["2/7", "3/7"]
 
     def test_domain_error_exits_2(self, capsys):
-        code, _, err = run(capsys, "orbit", "--map", "OG", "--start", "3/2", "--steps", "1")
+        code, out, err = run(capsys, "orbit", "--map", "OG", "--start", "3/2", "--steps", "1")
         assert code == 2
         assert "outside" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["--map", "OG", "--start", "3/2"],
+        ["--map", "OG", "--start", "0"],
+        ["--map", "OR", "--start", "1"],
+        ["--map", "gauss", "--start", "0"],
+        ["--map", "interval-dyadic", "--start", "1"],
+        ["--map", "OG", "--start", "1", "--boundary", "left"],
+        ["--map", "OGk", "--start", "2/3"],
+        ["--map", "OGk", "--k", "3", "--start", "2/7"],
+    ])
+    def test_start_outside_domain_prints_no_row(self, capsys, argv, steps, fmt):
+        code, out, err = run(capsys, "orbit", *argv, "--steps", steps, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "outside" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--map", "OG", "--start", "1"],
+        ["--map", "gauss", "--start", "1"],
+        ["--map", "OR", "--start", "0"],
+        ["--map", "interval-dyadic", "--start", "0"],
+        ["--map", "OGk", "--k", "3", "--start", "3/10"],
+    ])
+    def test_start_at_domain_edge_accepted(self, capsys, argv):
+        code, out, _ = run(capsys, "orbit", *argv, "--steps", "0")
+        assert code == 0
+        assert out.splitlines() == [argv[-1]]
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "orbit", "--map", "OG", "--start", "2/3", "--steps", "1",
@@ -175,7 +205,7 @@ class TestOrbit:
         assert (int(p), int(q)) == (want.numerator, want.denominator)
 
     def test_long_error_line_is_bounded(self, capsys, digit_limit):
-        # the start row prints; the step out of (0, 1] fails with the 401-digit value
+        # the 401-digit start lies outside (0, 1]: rejected before its row
         code, _, err = run(capsys, "orbit", "--map", "OG", "--start", "1e400", "--steps", "1")
         assert code == 2
         assert sys.get_int_max_str_digits() == digit_limit

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -41,6 +42,31 @@ def bcf_decode_fraction(w):
     for a in reversed(w.letters[:-1]):
         engine = a - 1 / engine
     return 1 - 1 / engine
+
+
+def cf_decode_by_loop(letters):
+    """Reference x = p_n/q_n from the continuant recurrences, one letter at a time."""
+    p, p_prev = 0, 1
+    q, q_prev = 1, 0
+    for a in letters:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+    return Fraction(p, q)
+
+
+def bcf_decode_by_loop(letters):
+    """Reference bcf value from the engine p/q, bottom up: (p, q) <- (a*p - q, p)."""
+    p, q = 1, 0
+    for a in reversed(letters):
+        p, q = a * p - q, p
+    return Fraction(p - q, p)
+
+
+def decoder_test_lengths():
+    """Every length from 1 to 200, each multiple of the leaf length up to 4x and
+    its neighbours, and 5000."""
+    around_leaf = {m * codecs._LEAF + d for m in range(1, 5) for d in (-1, 0, 1)}
+    return sorted(set(range(1, 201)) | around_leaf | {5000})
 
 
 class TestRationalText:
@@ -91,6 +117,13 @@ class TestCfCodec:
     def test_round_trip_random(self, x):
         if 0 < x <= 1:
             assert cf_decode(cf_encode(x)) == x
+
+    def test_matches_continuant_loop(self):
+        rng = random.Random(3)
+        for n in decoder_test_lengths():
+            for top in (1, 4, 1000):
+                letters = tuple(rng.randint(1, top) for _ in range(n))
+                assert cf_decode(FiniteWord(1, letters)) == cf_decode_by_loop(letters)
 
     def test_continuant_denominators_grow(self):
         w = word((2, 1, 3, 1, 4))
@@ -165,6 +198,13 @@ class TestBcfCodec:
     def test_matches_fraction_evaluation(self, letters):
         w = FiniteWord(2, tuple(letters))
         assert bcf_decode(w) == bcf_decode_fraction(w)
+
+    def test_matches_engine_loop(self):
+        rng = random.Random(4)
+        for n in decoder_test_lengths():
+            for top in (2, 5, 1000):
+                letters = tuple(rng.randint(2, top) for _ in range(n))
+                assert bcf_decode(FiniteWord(2, letters)) == bcf_decode_by_loop(letters)
 
     @given(st.lists(st.integers(2, 9), max_size=20), st.integers(0, 1),
            st.lists(st.integers(2, 9), max_size=20))

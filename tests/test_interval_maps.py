@@ -49,6 +49,18 @@ def b_by_loop(k, n):
     return cur
 
 
+def question_mark_by_series(x):
+    """Reference ?(x): the alternating series in Fraction arithmetic, term by term."""
+    total = Fraction(0)
+    if x > 0:
+        s = 0
+        for i, a in enumerate(cf_encode(x).letters):
+            s += a
+            term = Fraction(2) ** (1 - s)
+            total += term if i % 2 == 0 else -term
+    return total
+
+
 class TestGaussMap:
     def test_examples(self):
         assert gauss(Fraction(2, 5)) == Fraction(1, 2)
@@ -122,10 +134,10 @@ class TestDyadicIntervalStep:
 
 class TestFib:
     def test_pairs_match_loop(self):
-        for k in range(1, 6):
-            for n in range(-1, 60):
+        for k in range(1, 8):
+            for n in [*range(-1, 301), 1000, 4097]:
                 assert _b(k, n) == (b_by_loop(k, n - 1), b_by_loop(k, n))
-            for n in range(60):
+            for n in range(301):
                 assert fib(k, n) == FibPair(n, b_by_loop(k, n),
                                             b_by_loop(k, n) + b_by_loop(k, n - 1) if n else 1)
                 if n >= 1:
@@ -133,6 +145,12 @@ class TestFib:
 
     def test_k1_is_fibonacci(self):
         assert [fib(1, n).b for n in range(7)] == [0, 1, 1, 2, 3, 5, 8]
+
+    def test_huge_index_matches_all_ones_word(self):
+        # 1/M steps to the word of M ones; both sides are b(M)/b(M+1)
+        ones = cf_decode(FiniteWord(1, (1,) * 10**5))
+        assert gauss_odometer(Fraction(1, 10**5)) == ones
+        assert golden_mean_k(1, 10**5) == ones
 
     def test_k2_sequences(self):
         assert [fib(2, n).b for n in range(6)] == [0, 1, 2, 5, 12, 29]
@@ -363,3 +381,26 @@ class TestQuestionMark:
     def test_domain(self):
         with pytest.raises(ValueError):
             question_mark(Fraction(3, 2))
+
+    def test_matches_series(self):
+        for x in reduced_fractions(199, include_zero=True, include_one=True):
+            assert question_mark(x) == question_mark_by_series(x)
+
+    def test_long_words_match_series(self):
+        rng = random.Random(11)
+        # the reference is quadratic in the digit sum: large digits on short words only
+        for n, top in ((1, 10**5), (2, 300), (3, 300), (50, 300), (50, 9), (700, 9), (3000, 4)):
+            for _ in range(3):
+                letters = [rng.randint(1, top) for _ in range(n - 1)] + [rng.randint(2, top)]
+                x = cf_decode(FiniteWord(1, tuple(letters)))
+                assert question_mark(x) == question_mark_by_series(x)
+
+    def test_precision_matches_rounded_series(self):
+        rng = random.Random(5)
+        points = list(reduced_fractions(60, include_zero=True, include_one=True))
+        points += [cf_decode(FiniteWord(1, tuple(rng.randint(1, 6) for _ in range(400))))]
+        for x in points:
+            for bits in (1, 8, 40, 1200):
+                scale = 1 << bits
+                want = Fraction(round(question_mark_by_series(x) * scale), scale)
+                assert question_mark(x, precision_bits=bits) == want
