@@ -88,6 +88,7 @@ from .analysis import (
     audit_enumeration,
     bfs_oracle,
     distribution_test,
+    enumerate_coded,
     enumerate_rationals,
     frequency_test,
     multiplicity_audit,

@@ -13,34 +13,81 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterator
 
-from .codecs import SYSTEMS, cf_decode, dyadic_decode, system as codec_system
-from .interval_maps import question_mark, renyi_odometer
+from .codecs import BCF_ZERO, SYSTEMS, BcfWord, cf_decode, system as codec_system
+from .interval_maps import question_mark
 from .odometers import baire_step
 from .word_actions import Policy, orbit
 from .words import FiniteWord, constant, total_index
 
+_STERN_LEAF = 2048  # bit strings up to this length are multiplied out bit by bit
+
 
 def stern(n: int) -> int:
-    """Stern diatomic sequence: s(0)=0, s(1)=1, s(2n)=s(n), s(2n+1)=s(n)+s(n+1)."""
+    """Stern diatomic sequence: s(0)=0, s(1)=1, s(2n)=s(n), s(2n+1)=s(n)+s(n+1).
+
+    Reading the bits of n from the top keeps (a, b) = (s(m+1), s(m)) for the
+    prefix m read so far: it starts at (1, 0) for m = 0, a bit 1 adds a to b
+    and a bit 0 adds b to a.  The first _STERN_LEAF bits take that loop.
+    After them, the row (a, b) is multiplied by the matrix product of the
+    next block of bits (see _bit_product), each block as long as all the bits
+    before it, so every big multiplication pairs operands of about equal
+    size: near-linear in the bit length instead of quadratic.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
+    bits = format(n, "b")
     a, b = 1, 0
-    for bit in format(n, "b"):
+    for bit in bits[:_STERN_LEAF]:
         if bit == "1":
             b += a
         else:
             a += b
+    done = _STERN_LEAF
+    while done < len(bits):
+        a2, b2, c2, d2 = _bit_product(bits[done:2 * done])
+        a, b = a * a2 + b * c2, a * b2 + b * d2
+        done *= 2
     return b
 
 
-def enumerate_rationals(system: str, count: int, offset: str | None = None) -> Iterator[Fraction]:
-    """The rationals of a system in enumeration order.
+def _bit_product(bits: str) -> tuple[int, int, int, int]:
+    """(A, B, C, D) with [[A, B], [C, D]] the product, left to right, of
+    [[1, 1], [0, 1]] per bit 1 and [[1, 0], [1, 1]] per bit 0.
 
-    dyadic and cf decode the subtree word orbits of (1) over floor 0 and (2)
-    over floor 1; bcf iterates the closed-form backward odometer.  offset
-    "zero" (bcf only, its default) starts at 0; "root" starts at 1/2.
+    Up to _STERN_LEAF bits are multiplied out one bit at a time; a longer
+    string is split in halves whose products are multiplied together.
+    """
+    if len(bits) <= _STERN_LEAF:
+        a_, b_, c_, d_ = 1, 0, 0, 1
+        for bit in bits:
+            if bit == "1":
+                b_ += a_
+                d_ += c_
+            else:
+                a_ += b_
+                c_ += d_
+        return a_, b_, c_, d_
+    half = len(bits) // 2
+    a1, b1, c1, d1 = _bit_product(bits[:half])
+    a2, b2, c2, d2 = _bit_product(bits[half:])
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def enumerate_coded(system: str, count: int,
+                    offset: str | None = None) -> Iterator[tuple[BcfWord, Fraction]]:
+    """(word, value) pairs of a system in enumeration order.
+
+    Each system walks a word orbit with the odometer action and decodes every
+    word once: dyadic and cf take the subtree orbits of (1) over floor 0 and
+    (2) over floor 1 (the words ending in a letter above the floor, one per
+    value); bcf takes the top-down orbit of (2) over floor 2 (every word, each
+    a distinct value).  offset "zero" (bcf only, its default) puts BCF_ZERO,
+    the word of 0, first; "root" starts at the root word, whose value is 1/2.
+    The words are the codec's canonical ones: encode(value) == word.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
@@ -50,19 +97,25 @@ def enumerate_rationals(system: str, count: int, offset: str | None = None) -> I
         raise ValueError(f"unknown offset {offset!r}")
     if offset == "zero" and system != "bcf":
         raise ValueError(f"offset 'zero' is only defined for bcf, not {system!r}")
-    if system == "bcf":
-        x = Fraction(0)
-        if offset == "root":
-            x = renyi_odometer(x)
-        for _ in range(count):
-            yield x
-            x = renyi_odometer(x)
-    elif system == "cf":
-        for w in orbit(FiniteWord(1, (2,)), Policy.SUBTREE, count):
-            yield cf_decode(w)
-    else:
-        for w in orbit(FiniteWord(0, (1,)), Policy.SUBTREE, count):
-            yield dyadic_decode(w)
+    floor, _, decode = codec_system(system)
+    if system == "bcf":  # every word over floor 2 is canonical
+        walk = orbit(FiniteWord(floor, (floor,)), Policy.TOPDOWN, count)
+    else:  # the canonical words end in a letter above the floor
+        walk = orbit(FiniteWord(floor, (floor + 1,)), Policy.SUBTREE, count)
+    if offset == "zero":
+        walk = islice(chain((BCF_ZERO,), walk), count)
+    for w in walk:
+        yield w, decode(w)
+
+
+def enumerate_rationals(system: str, count: int, offset: str | None = None) -> Iterator[Fraction]:
+    """The rationals of a system in enumeration order: the values of
+    enumerate_coded.  dyadic and cf decode the subtree word orbits of (1)
+    over floor 0 and (2) over floor 1; bcf decodes the top-down word orbit
+    of (2) over floor 2, after 0 for offset "zero" (bcf only, its default);
+    "root" starts at 1/2.
+    """
+    return (x for _, x in enumerate_coded(system, count, offset))
 
 
 def bfs_oracle(system: str, count: int) -> Iterator[Fraction]:

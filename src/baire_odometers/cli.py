@@ -115,9 +115,8 @@ def _value_row(record: dict, x: Fraction, w, bits: int | None) -> Row:
 # ---------------------------------------------------------------- enumerate
 
 def _enumerate_rows(args) -> Iterator[Row]:
-    floor, encode, _ = system(args.system)
-    for n, x in enumerate(analysis.enumerate_rationals(args.system, args.count, args.offset)):
-        w = encode(x)
+    floor = system(args.system)[0]
+    for n, (w, x) in enumerate(analysis.enumerate_coded(args.system, args.count, args.offset)):
         yield _value_row({"n": n, "word": list(w.letters), "floor": floor}, x, w, args.decimal)
 
 
@@ -210,15 +209,18 @@ def _cmd_tree(args) -> int:
         if args.floor < low:
             raise ValueError(f"{args.values} values need letters >= {low}")
 
+    at = locate(root)
     for depth in range(1, args.levels + 1):
         level = subtree_level(root, depth, args.mirror)
         if args.format == "plain":
             print(" ".join(_value_text(decode(w), args.decimal) if decode else str(w)
                            for w in level))
             continue
-        for w in level:
-            at = locate(w)
-            row = {"level": at.level, "pos": str(at.position), "word": list(w.letters),
+        # row q of this depth sits at (at.level + depth - 1, (at.position << (depth - 1)) + q)
+        base = at.position << (depth - 1)
+        positions = range(base, base + len(level))
+        for w, position in zip(level, reversed(positions) if args.mirror else positions):
+            row = {"level": at.level + depth - 1, "pos": str(position), "word": list(w.letters),
                    "floor": w.floor}
             if decode:
                 row, _, _ = _value_row(row, decode(w), None, args.decimal)

@@ -34,13 +34,14 @@ def step(w: FiniteWord, policy: Policy = Policy.TOPDOWN) -> FiniteWord:
     """Successor of w; the policy only matters for single-letter words."""
     k = w.floor
     a = w.letters
+    # every result is nonempty with letters >= k: the trusted constructor
     if len(a) > 1:
-        return FiniteWord(k, (k,) * (a[0] - k) + (a[1] + 1,) + a[2:])
+        return FiniteWord._canonical(k, (k,) * (a[0] - k) + (a[1] + 1,) + a[2:])
     if policy is Policy.CYCLIC:
-        return FiniteWord(k, (k,) * (a[0] - k + 1))
+        return FiniteWord._canonical(k, (k,) * (a[0] - k + 1))
     if policy is Policy.TOPDOWN:
-        return FiniteWord(k, (k,) * (a[0] - k + 2))
-    return FiniteWord(k, (k,) * (a[0] - k) + (k + 1,))
+        return FiniteWord._canonical(k, (k,) * (a[0] - k + 2))
+    return FiniteWord._canonical(k, (k,) * (a[0] - k) + (k + 1,))
 
 
 def orbit(start: FiniteWord, policy: Policy, count: int) -> Iterator[FiniteWord]:

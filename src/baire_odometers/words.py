@@ -22,7 +22,15 @@ from typing import Iterator
 
 @dataclass(frozen=True)
 class FiniteWord:
-    """Nonempty tuple of integer letters, each >= floor."""
+    """Nonempty tuple of integer letters, each >= floor.
+
+    The public constructor validates (floor >= 0, letters nonempty and >=
+    floor).  Maps whose results provably satisfy this (the word action
+    ``word_actions.step`` and ``word_at``) build them with the internal
+    ``FiniteWord._canonical(floor, letters)`` instead, which skips the
+    checks.  Its inputs are not checked: a caller that breaks the
+    precondition gets an invalid word.
+    """
 
     floor: int
     letters: tuple[int, ...]
@@ -34,6 +42,15 @@ class FiniteWord:
             raise ValueError("letters must be nonempty")
         if any(a < self.floor for a in self.letters):
             raise ValueError(f"letters {self.letters} below floor {self.floor}")
+
+    @classmethod
+    def _canonical(cls, floor: int, letters: tuple[int, ...]) -> FiniteWord:
+        # trusted: letters nonempty, each >= floor >= 0
+        w = object.__new__(cls)
+        d = w.__dict__  # frozen: fill the fields without __init__ or __setattr__
+        d["floor"] = floor
+        d["letters"] = letters
+        return w
 
     def __str__(self) -> str:
         return "(" + ",".join(str(a) for a in self.letters) + ")"
@@ -222,19 +239,13 @@ def word_at(level: int, position: int, floor: int) -> FiniteWord:
         raise ValueError("level must be >= 1")
     if not 0 <= position < 1 << (level - 1):
         raise ValueError(f"position {position} out of range for level {level}")
+    if floor < 0:
+        raise ValueError("floor must be >= 0")
     bits = "0" + format(position, f"0{level - 1}b") if level > 1 else "0"
-    blocks = []
-    run = 0
-    for b in bits:
-        if b == "0":
-            if run:
-                blocks.append(run)
-            run = 1
-        else:
-            run += 1
-    blocks.append(run)
-    delta = floor - 1
-    return FiniteWord(floor, tuple(a + delta for a in reversed(blocks)))
+    # bits starts with 0, so cutting it at each 0 leaves one run of ones per
+    # block 0 1^(a-1): the floor-1 letter a = len(run) + 1, here len(run) + floor
+    ones = bits.split("0")[1:]
+    return FiniteWord._canonical(floor, tuple(len(run) + floor for run in reversed(ones)))
 
 
 def compare_rlex(a: FiniteWord, b: FiniteWord) -> int:

@@ -1,22 +1,46 @@
+import random
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 from baire_odometers.analysis import (
+    _STERN_LEAF,
     audit_enumeration,
     bfs_oracle,
     distribution_test,
+    enumerate_coded,
     enumerate_rationals,
     frequency_test,
     multiplicity_audit,
     stern,
     stern_oracle,
 )
-from baire_odometers.codecs import cf_decode
+from baire_odometers.codecs import BCF_ZERO, SYSTEMS, cf_decode, system
+from baire_odometers.interval_maps import renyi_odometer
 from baire_odometers.odometers import dyadic_step
 from baire_odometers.word_actions import Policy, orbit
 from baire_odometers.words import tail, word
+
+
+def stern_by_loop(n):
+    # one addition per bit, the bits of n read from the top
+    a, b = 1, 0
+    for bit in format(n, "b"):
+        if bit == "1":
+            b += a
+        else:
+            a += b
+    return b
+
+
+def renyi_iteration(x, count):
+    for _ in range(count):
+        yield x
+        x = renyi_odometer(x)
+
+
+OFFSETS = [("cf", "root"), ("dyadic", "root"), ("bcf", "root"), ("bcf", "zero")]
 
 
 class TestStern:
@@ -42,6 +66,19 @@ class TestStern:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             stern(-1)
+
+    def test_matches_loop_below_5000(self):
+        for n in range(5000):
+            assert stern(n) == stern_by_loop(n)
+
+    def test_matches_loop_on_long_bit_strings(self):
+        rng = random.Random(20261018)
+        sizes = [_STERN_LEAF + d for d in (-1, 0, 1)] + [2 * _STERN_LEAF + d for d in (-1, 0, 1)]
+        sizes += [3 * _STERN_LEAF + 5, 6000, 20000, 10**5] + [rng.randrange(2, 10**5) for _ in range(3)]
+        for bits in sizes:
+            for n in (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1, 1 << (bits - 1),
+                      int("10" * (bits // 2), 2)):
+                assert stern(n) == stern_by_loop(n), bits
 
 
 class TestEnumerateRationals:
@@ -73,6 +110,42 @@ class TestEnumerateRationals:
             list(enumerate_rationals("cf", 3, "middle"))
         with pytest.raises(ValueError):
             list(enumerate_rationals("kepler", 3))
+
+
+class TestEnumerateCoded:
+    @pytest.mark.parametrize("name, offset", OFFSETS)
+    def test_pairs_are_codec_pairs(self, name, offset):
+        _, encode, decode = system(name)
+        count = 0
+        for w, x in enumerate_coded(name, 1 << 12, offset):
+            assert decode(w) == x
+            assert encode(x) == w
+            count += 1
+        assert count == 1 << 12
+
+    @pytest.mark.parametrize("name, offset", OFFSETS + [(name, None) for name in SYSTEMS])
+    def test_rationals_are_the_values(self, name, offset):
+        pairs = list(enumerate_coded(name, 500, offset))
+        assert list(enumerate_rationals(name, 500, offset)) == [x for _, x in pairs]
+
+    def test_bcf_is_the_renyi_odometer_orbit(self):
+        count = 1 << 12
+        from_zero = [x for _, x in enumerate_coded("bcf", count)]
+        assert from_zero == list(renyi_iteration(Fraction(0), count))
+        from_root = [x for _, x in enumerate_coded("bcf", count, "root")]
+        assert from_root == list(renyi_iteration(Fraction(1, 2), count))
+
+    def test_first_words(self):
+        assert [w for w, _ in enumerate_coded("bcf", 4)] == [
+            BCF_ZERO, word((2,), 2), word((2, 2), 2), word((3,), 2)]
+        assert [w for w, _ in enumerate_coded("cf", 3)] == [word((2,)), word((1, 2)), word((3,))]
+        assert [w for w, _ in enumerate_coded("dyadic", 3)] == [
+            word((1,), 0), word((0, 1), 0), word((2,), 0)]
+
+    @pytest.mark.parametrize("name, offset", OFFSETS)
+    def test_short_counts(self, name, offset):
+        assert list(enumerate_coded(name, 0, offset)) == []
+        assert len(list(enumerate_coded(name, 1, offset))) == 1
 
 
 class TestOracles:

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from baire_odometers.cli import main
 from baire_odometers.interval_maps import gauss_odometer
+from baire_odometers.trees import locate
+from baire_odometers.words import FiniteWord
 
 
 @pytest.fixture
@@ -247,6 +249,20 @@ class TestTree:
             {"level": 2, "pos": "1", "word": [2], "floor": 1},
         ]
 
+    @pytest.mark.parametrize("floor, root", [(0, None), (1, "2,1,3"), (2, "3,2"), (3, "4,3,3")])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_json_positions_are_the_word_addresses(self, capsys, floor, root, mirror):
+        argv = ["tree", "--floor", str(floor), "--levels", "6", "--format", "json"]
+        argv += ["--root", root] if root else []
+        argv += ["--mirror"] if mirror else []
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 63
+        for row in rows:
+            at = locate(FiniteWord(row["floor"], tuple(row["word"])))
+            assert (row["level"], row["pos"]) == (at.level, str(at.position))
+
     def test_value_floor_mismatch(self, capsys):
         code, _, err = run(capsys, "tree", "--floor", "0", "--levels", "2",
                            "--values", "cf")
@@ -466,6 +482,14 @@ GOLDEN = [
     ("codec --from bcf --to word 0/1", 1, "ff9fb51036a15c5c"),
     ("codec --from word --to bcf zero", 1, "9a271f2a916b0b6e"),
     ("codec --from dyadic --to word 19/32", 1, "9c1ba490126115f5"),
+    ("enumerate --system cf --count 5000", 5000, "e01b29420d3a4b34"),
+    ("enumerate --system bcf --count 5000", 5000, "53bce9fd46508302"),
+    ("enumerate --system dyadic --count 5000", 5000, "4213421c457ea901"),
+    ("enumerate --system bcf --count 5000 --format json", 5000, "bd0c226620746128"),
+    ("enumerate --system bcf --count 5000 --format csv", 5001, "c285089367b38b91"),
+    ("enumerate --system bcf --count 5000 --offset root --format json", 5000, "8234b7bb9bf59a5f"),
+    ("enumerate --system bcf --count 5000 --offset root --format csv", 5001, "c5b2407f3c65314c"),
+    ("enumerate --system cf --count 5000 --decimal 20", 5000, "a60a20c6d08b8e99"),
 ]
 
 

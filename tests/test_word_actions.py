@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from baire_odometers.word_actions import Policy, enumerate_words, orbit, step
 from baire_odometers.words import (
@@ -14,7 +15,23 @@ from baire_odometers.words import (
 )
 
 
+@st.composite
+def finite_words(draw):
+    floor = draw(st.integers(0, 3))
+    letters = draw(st.lists(st.integers(floor, floor + 6), min_size=1, max_size=8))
+    return FiniteWord(floor, tuple(letters))
+
+
 class TestStep:
+    @given(finite_words(), st.sampled_from(Policy))
+    def test_trusted_result_is_the_public_word(self, w, policy):
+        r = step(w, policy)
+        public = FiniteWord(r.floor, r.letters)
+        assert r == public and public == r
+        assert hash(r) == hash(public)
+        assert r.floor == w.floor
+        assert sum_k(r) == sum_k(w) + (len(w) == 1 and policy is not Policy.CYCLIC)
+
     def test_forced_when_longer_than_one(self):
         assert step(word((1, 1))) == word((2,))
         assert step(word((4, 2, 1))) == word((1, 1, 1, 3, 1))

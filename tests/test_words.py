@@ -164,6 +164,22 @@ class TestWordAt:
                 assert sum_k(w) == level
                 assert position_index(w) == pos
 
+    def test_negative_floor_rejected(self):
+        for level, pos in ((1, 0), (3, 2), (7, 23)):
+            with pytest.raises(ValueError):
+                word_at(level, pos, -1)
+
+    @given(st.integers(1, 40).flatmap(
+               lambda level: st.tuples(st.just(level), st.integers(0, (1 << (level - 1)) - 1))),
+           st.integers(0, 3))
+    def test_trusted_result_is_the_public_word(self, at, floor):
+        level, pos = at
+        w = word_at(level, pos, floor)
+        public = FiniteWord(floor, w.letters)
+        assert w == public and public == w
+        assert hash(w) == hash(public)
+        assert (sum_k(w), position_index(w)) == (level, pos)
+
 
 class TestCompareRlex:
     def test_sum_dominates(self):
