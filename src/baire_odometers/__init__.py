@@ -32,6 +32,7 @@ from .words import (
     word_at,
 )
 from .odometers import (
+    baire_fast_forward,
     baire_step,
     dyadic_step,
     fast_forward,
@@ -76,7 +77,6 @@ from .interval_maps import (
     golden_mean_k,
     k_gauss_cmi,
     k_gauss_odometer,
-    k_gauss_odometer_shifted,
     question_mark,
     renyi,
     renyi_cmi,

@@ -12,9 +12,7 @@ translation) act on rationals; the corresponding odometers have closed forms:
   sequences b (0, 1, k, ...) and d (1, 1, k+1, ...), restricted to rationals
   whose continued-fraction digits are all >= k.  With m the first digit and
   j = m - k the coefficients are b_j - m*d_j, d_j and b_{j+1} - m*d_{j+1},
-  d_{j+1}; this indexing reduces exactly to the k=1 formula.  The
-  index-shifted variant k_gauss_odometer_shifted is kept for comparison; it
-  fails the word-action oracle already at k=2 on [1/3, 1/2).
+  d_{j+1}; this indexing reduces exactly to the k=1 formula.
 
 A generic countable-Markov-interval odometer (cmi_odometer) recodes a point
 through any supplied branch system, applies the finite-word action, and maps
@@ -146,8 +144,9 @@ def renyi_odometer(x: Fraction) -> Fraction:
     if not 0 <= x < 1:
         raise ValueError(f"{x} outside [0, 1)")
     p, q = x.numerator, x.denominator
-    m = q // (q - p)
-    return 1 / (2 * m + 1 - Fraction(q, q - p))
+    d = q - p
+    m = q // d
+    return Fraction(d, (2 * m + 1) * d - q)  # 1/(2m + 1 - q/d); the denominator exceeds m*d > 0
 
 
 def _k_digits(x: Fraction, k: int) -> FiniteWord:
@@ -171,24 +170,6 @@ def k_gauss_odometer(x: Fraction, k: int) -> Fraction:
         return Fraction(*_b(k, w.letters[0] - k + 2))
     m = w.letters[0]
     return _moebius(x, k, m, m - k)
-
-
-def k_gauss_odometer_shifted(x: Fraction, k: int) -> Fraction:
-    """Index-shifted variant of the restricted closed form, for comparison.
-
-    Uses multiplier n = m - k and the coefficient pairs (b_n, d_{n+1}) and
-    (b_{n+1}, d_{n+2}); disagrees with the word-action oracle (already at
-    k=2 on [1/3, 1/2), where it yields 1/(x+3) instead of (1-2x)/(1-x)).
-    """
-    if k < 1 or not 0 < x <= Fraction(1, k):
-        raise ValueError(f"{x} outside (0, 1/{k}]")
-    p, q = x.numerator, x.denominator
-    m = -(-q // p) - 1
-    n = m - k
-    b_n, b_next = _b(k, n + 1)
-    b_after = k * b_next + b_n
-    d_next, d_after = b_next + b_n, b_after + b_next
-    return (x * (b_n - n * d_next) + d_next) / (x * (b_next - n * d_after) + d_after)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ conjugate acts on words over {k, k+1, ...} by
 and the shift drops the first letter.  fast_forward performs m binary steps
 at once as arbitrary-precision addition, treating eventually constant binary
 words as 2-adic integers (an all-ones tail is a two's-complement negative).
+baire_fast_forward carries that jump through the block conjugacy: m steps of
+baire_step cost one addition plus two linear recodings, not m steps.
 """
 
 from __future__ import annotations
 
-from .words import TailWord, _drop_letters, _require_binary, drop_front
+from .words import TailWord, _drop_letters, _require_binary, block_decode, block_encode, drop_front
 
 # Every map below keeps the letters >= floor and the period primitive (it is
 # the input's period or a rotation of it, or a constant), so results are built
@@ -69,6 +71,19 @@ def fast_forward(w: TailWord, m: int) -> TailWord:
         reps *= 2  # w.period contains a 0, so enough expansion absorbs the carry
 
 
+def baire_fast_forward(w: TailWord, m: int) -> TailWord:
+    """Apply baire_step m times in O(log m + length); m < 0 raises ValueError.
+
+    The letters are shifted to floor 0, recoded by block_decode into the
+    binary word whose dyadic_step is conjugate to baire_step, advanced m
+    steps by fast_forward, recoded back by block_encode and shifted back to
+    the word's floor.  The decoded word's period contains a 0 and
+    fast_forward keeps it, so block_encode is always defined on the result.
+    """
+    k = w.floor
+    return _relabel(block_encode(fast_forward(block_decode(_relabel(w, -k)), m)), k)
+
+
 def renormalization_exponent(w: TailWord, m: int, n: int) -> int:
     """Exponent E = m * 2^n * 2^(w1+...+wn) in baire_step^m o shift^n = shift^n o baire_step^E."""
     if m < 0 or n < 0:
@@ -76,16 +91,26 @@ def renormalization_exponent(w: TailWord, m: int, n: int) -> int:
     return m << (n + sum(w.prefix(n)))
 
 
+def _relabel(w: TailWord, delta: int) -> TailWord:
+    # add delta to the floor and to every letter, a bijection between alphabets
+    return TailWord._canonical(w.floor + delta, tuple(a + delta for a in w.preperiod),
+                               tuple(a + delta for a in w.period))
+
+
 def _bits_value(bits: tuple[int, ...]) -> int:
-    # LSB-first binary digits to integer
-    v = 0
-    for b in reversed(bits):
-        v = (v << 1) | b
-    return v
+    # LSB-first binary digits to integer, through one linear base-2 parse
+    return int(bytes(reversed(bits)).translate(_TO_DIGITS) or b"0", 2)
 
 
 def _bit_tuple(v: int, width: int) -> tuple[int, ...]:
-    return tuple((v >> i) & 1 for i in range(width))
+    # the LSB-first digits of 0 <= v < 2^width, through one base-2 format
+    if not width:
+        return ()
+    return tuple(format(v, f"0{width}b").encode().translate(_FROM_DIGITS))[::-1]
+
+
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _from_int(v: int) -> TailWord:

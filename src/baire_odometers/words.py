@@ -91,11 +91,11 @@ class TailWord:
     The public constructor validates (floor >= 0, nonempty period, letters >=
     floor) and normalizes every input.  Maps that provably keep the letters
     >= floor and the period nonempty and primitive (baire_step, dyadic_step,
-    drop_front, fast_forward) build their results with the internal
-    ``TailWord._canonical(floor, pre, per)`` instead, which skips validation
-    and the period reduction and only shortens the preperiod.  Its inputs are
-    not checked: a caller that breaks the precondition gets a non-canonical
-    word.
+    drop_front, fast_forward, baire_fast_forward and the block codec) build
+    their results with the internal ``TailWord._canonical(floor, pre, per)``
+    instead, which skips validation and the period reduction and only
+    shortens the preperiod.  Its inputs are not checked: a caller that breaks
+    the precondition gets a non-canonical word.
     """
 
     floor: int
@@ -271,49 +271,43 @@ def total_index(w: FiniteWord) -> int:
 
 
 def block_decode(v: TailWord) -> TailWord:
-    """Expand each letter k into the binary block 1^k 0."""
-    def expand(letters: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for k in letters:
-            out.extend([1] * k)
-            out.append(0)
-        return tuple(out)
+    """Expand each letter k into the binary block 1^k 0.
 
-    return TailWord(0, expand(v.preperiod), expand(v.period))
+    Defined on floor-0 words, the range of ``block_encode``; a word over
+    another floor raises ValueError (shift its letters to floor 0 first).
+    """
+    if v.floor != 0:
+        raise ValueError("block_decode takes floor-0 words")
+    # The code is prefix-free (every block ends at its only 0), so the
+    # expanded period is primitive; _canonical shortens the preperiod.
+    return TailWord._canonical(0, _expand(v.preperiod), _expand(v.period))
+
+
+def _expand(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([b for k in letters for b in (1,) * k + (0,)])
 
 
 def block_encode(w: TailWord) -> TailWord:
     """Parse a binary word into blocks 1^k 0 and return the sequence of k's.
 
-    Defined on binary words that are not eventually all ones (every tail must
-    contain another 0 for the next block to close).
+    Defined on floor-0 binary words that are not eventually all ones (every
+    tail must contain another 0 for the next block to close), the range of
+    ``block_decode``; the result has floor 0.
     """
     _require_binary(w)
     if w.period == (1,):
         raise ValueError("eventually-all-ones word has no block decomposition")
-    pre_len, per_len = len(w.preperiod), len(w.period)
+    # rotate the period just past its first 0, so that the preperiod and the
+    # period each end a block; a period of whole blocks that repeated a
+    # shorter one would make the binary period repeat too, so it is primitive
+    per = w.period
+    i = per.index(0) + 1
+    return TailWord._canonical(0, _runs(w.preperiod + per[:i]), _runs(per[i:] + per[:i]))
 
-    def state(i: int) -> int:
-        # structural position of absolute letter index i (0-based)
-        return i if i < pre_len else pre_len + (i - pre_len) % per_len
 
-    letters = w.letters()
-    out: list[int] = []
-    seen: dict[int, int] = {}
-    i = 0
-    while True:
-        st = state(i)
-        if st >= pre_len:
-            if st in seen:
-                return TailWord(0, tuple(out[: seen[st]]), tuple(out[seen[st]:]))
-            seen[st] = len(out)
-        run = 0
-        for a in letters:
-            i += 1
-            if a == 0:
-                break
-            run += 1
-        out.append(run)
+def _runs(bits: tuple[int, ...]) -> tuple[int, ...]:
+    # lengths of the runs of 1s closed by each 0 of bits, which ends in 0
+    return tuple(map(len, bytes(bits).split(b"\0")[:-1]))
 
 
 def _require_binary(w: TailWord) -> None:

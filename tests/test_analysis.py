@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 
@@ -17,10 +18,22 @@ from baire_odometers.analysis import (
     stern_oracle,
 )
 from baire_odometers.codecs import BCF_ZERO, SYSTEMS, cf_decode, system
-from baire_odometers.interval_maps import renyi_odometer
+from baire_odometers.interval_maps import question_mark, renyi_odometer
 from baire_odometers.odometers import dyadic_step
 from baire_odometers.word_actions import Policy, orbit
 from baire_odometers.words import tail, word
+
+
+def distribution_test_by_sort(count, grid, reference="minkowski"):
+    """Reference KS distance: sort the samples, bisect at every grid point."""
+    samples = sorted(enumerate_rationals("cf", count))
+    worst = 0.0
+    for i in range(grid + 1):
+        g = Fraction(i, grid)
+        empirical = bisect_right(samples, g) / count
+        ref = question_mark(g) if reference == "minkowski" else g
+        worst = max(worst, abs(empirical - float(ref)))
+    return worst
 
 
 def stern_by_loop(n):
@@ -212,6 +225,19 @@ class TestDistribution:
     def test_reference_validation(self):
         with pytest.raises(ValueError):
             distribution_test(256, 64, "gaussian")
+
+    @pytest.mark.parametrize("reference", ["minkowski", "uniform"])
+    @pytest.mark.parametrize("grid", [64, 100, 1024])
+    @pytest.mark.parametrize("count", [1 << e for e in range(8, 15)])
+    def test_matches_sorted_oracle(self, count, grid, reference):
+        # bit-identical floats, not merely close ones
+        got = distribution_test(count, grid, reference)
+        assert got.hex() == distribution_test_by_sort(count, grid, reference).hex()
+
+    def test_odd_counts_match_sorted_oracle(self):
+        for count in (1, 2, 3, 1000, 3001):
+            for grid in (1, 7, 64):
+                assert distribution_test(count, grid) == distribution_test_by_sort(count, grid)
 
 
 class TestFrequencies:

@@ -18,7 +18,6 @@ from baire_odometers.interval_maps import (
     golden_mean_k,
     k_gauss_cmi,
     k_gauss_odometer,
-    k_gauss_odometer_shifted,
     question_mark,
     renyi,
     renyi_cmi,
@@ -47,6 +46,29 @@ def b_by_loop(k, n):
     for _ in range(n):
         prev, cur = cur, k * cur + prev
     return cur
+
+
+def renyi_odometer_by_fractions(x):
+    """Reference renyi odometer: 1/(2*floor(E) + 1 - E), E = 1/(1-x), in Fraction operations."""
+    p, q = x.numerator, x.denominator
+    m = q // (q - p)
+    return 1 / (2 * m + 1 - Fraction(q, q - p))
+
+
+def _k_gauss_odometer_shifted(x, k):
+    """Index-shifted variant of the restricted closed form, a negative control.
+
+    Uses multiplier n = m - k and the coefficient pairs (b_n, d_{n+1}) and
+    (b_{n+1}, d_{n+2}); disagrees with the word-action oracle (already at
+    k=2 on [1/3, 1/2), where it yields 1/(x+3) instead of (1-2x)/(1-x)).
+    """
+    p, q = x.numerator, x.denominator
+    m = -(-q // p) - 1
+    n = m - k
+    b_n, b_next = _b(k, n + 1)
+    b_after = k * b_next + b_n
+    d_next, d_after = b_next + b_n, b_after + b_next
+    return (x * (b_n - n * d_next) + d_next) / (x * (b_next - n * d_after) + d_after)
 
 
 def question_mark_by_series(x):
@@ -256,6 +278,11 @@ class TestRenyiOdometer:
         with pytest.raises(ValueError):
             renyi_odometer(Fraction(1))
 
+    def test_matches_fraction_expression(self):
+        # every reduced p/q of [0, 1) with q < 400
+        for x in reduced_fractions(399, include_zero=True):
+            assert renyi_odometer(x) == renyi_odometer_by_fractions(x)
+
 
 class TestKGaussOdometer:
     def test_low_branch_formula(self):
@@ -300,8 +327,8 @@ class TestKGaussOdometer:
     def test_shifted_variant_disagrees(self):
         # the index-shifted coefficients break on the lowest branch
         x = Fraction(2, 5)
-        assert k_gauss_odometer_shifted(x, 2) == 1 / (x + 3)
-        assert k_gauss_odometer_shifted(x, 2) != k_gauss_odometer(x, 2)
+        assert _k_gauss_odometer_shifted(x, 2) == 1 / (x + 3)
+        assert _k_gauss_odometer_shifted(x, 2) != k_gauss_odometer(x, 2)
 
 
 class TestGoldenMean:

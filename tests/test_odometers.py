@@ -1,7 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from baire_odometers.odometers import (
+    _bit_tuple,
+    _bits_value,
+    baire_fast_forward,
     baire_step,
     dyadic_step,
     fast_forward,
@@ -53,6 +58,17 @@ def add_lsb_first(bits, m):
     n = len(bits)
     v = (sum(b << i for i, b in enumerate(bits)) + m) % (1 << n)
     return tuple((v >> i) & 1 for i in range(n))
+
+
+def bits_value_by_loop(bits):
+    v = 0
+    for b in reversed(bits):
+        v = (v << 1) | b
+    return v
+
+
+def bit_tuple_by_loop(v, width):
+    return tuple((v >> i) & 1 for i in range(width))
 
 
 class TestCanonicalResults:
@@ -196,6 +212,26 @@ class TestFastForward:
         with pytest.raises(ValueError):
             fast_forward(constant(0), -1)
 
+    def test_bit_conversions_match_loops(self):
+        rng = random.Random(6)
+        for n in list(range(70)) + [1000, 5003]:
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            v = bits_value_by_loop(bits)
+            assert _bits_value(bits) == v
+            assert _bit_tuple(v, n) == bit_tuple_by_loop(v, n) == bits
+
+    def test_long_words_and_huge_counts(self):
+        rng = random.Random(7)
+        for n in (300, 3000):
+            pre = [rng.randrange(2) for _ in range(n)]
+            per = [rng.randrange(2) for _ in range(rng.randrange(1, 40))] + [0]
+            m = rng.getrandbits(n + 50)
+            for w in (tail(pre, per), tail(pre, (1,))):
+                r = fast_forward(w, m)
+                assert_canonical(r)
+                bits = w.prefix(oracle_length(w, r) + m.bit_length())
+                assert r.prefix(len(bits)) == add_lsb_first(bits, m)
+
     @settings(max_examples=60)
     @given(binary_words(max_pre=8, max_per=4), st.integers(0, 300), st.integers(0, 300))
     def test_additive(self, w, a, b):
@@ -208,6 +244,42 @@ class TestFastForward:
         for _ in range(m):
             naive = dyadic_step(naive)
         assert fast_forward(w, m) == naive
+
+
+class TestBaireFastForward:
+    """m Baire steps through the block conjugacy, against baire_step m times."""
+
+    @settings(max_examples=150)
+    @given(raw_tail_words(), st.integers(0, 399))
+    def test_matches_iterated_step(self, w, m):
+        naive = w
+        for _ in range(m):
+            naive = baire_step(naive)
+        r = baire_fast_forward(w, m)
+        assert_canonical(r)
+        assert (r.floor, r.preperiod, r.period) == (naive.floor, naive.preperiod, naive.period)
+
+    @settings(max_examples=60)
+    @given(raw_tail_words(), st.integers(2**199, 2**201), st.integers(2**199, 2**201))
+    def test_additive_on_huge_counts(self, w, a, b):
+        once = baire_fast_forward(w, a + b)
+        assert_canonical(once)
+        assert baire_fast_forward(baire_fast_forward(w, a), b) == once
+
+    def test_zero_steps(self):
+        for w in (constant(0), constant(3, 3), tail((2, 5), (1, 4), floor=1), tail((0, 1), (2, 0))):
+            assert baire_fast_forward(w, 0) == w
+
+    def test_negative_steps_rejected(self):
+        for w in (constant(0), tail((2,), (1, 3), floor=1)):
+            with pytest.raises(ValueError):
+                baire_fast_forward(w, -1)
+
+    def test_constant_floor_word_cycles_through_constant_floor_plus_one(self):
+        # (k, k, ...) is the binary 0; 2^j - 1 steps give 1^j 0 0 ..., the word (k+j, k, k, ...)
+        for k in range(4):
+            for j in range(1, 12):
+                assert baire_fast_forward(constant(k, k), (1 << j) - 1) == tail((k + j,), (k,), floor=k)
 
 
 class TestRenormalization:

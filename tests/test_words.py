@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,50 @@ from baire_odometers.words import (
     word,
     word_at,
 )
+
+
+def block_encode_by_loop(w):
+    """Reference block parse: read letters until a tail state repeats, then
+    build the result with the public, normalizing constructor."""
+    pre_len, per_len = len(w.preperiod), len(w.period)
+
+    def state(i):
+        # structural position of absolute letter index i (0-based)
+        return i if i < pre_len else pre_len + (i - pre_len) % per_len
+
+    letters = w.letters()
+    out = []
+    seen = {}
+    i = 0
+    while True:
+        pos = state(i)
+        if pos >= pre_len:
+            if pos in seen:
+                return TailWord(0, tuple(out[: seen[pos]]), tuple(out[seen[pos]:]))
+            seen[pos] = len(out)
+        run = 0
+        for a in letters:
+            i += 1
+            if a == 0:
+                break
+            run += 1
+        out.append(run)
+
+
+def block_decode_by_constructor(v):
+    """Reference expansion through the public, normalizing constructor."""
+    def expand(letters):
+        out = []
+        for k in letters:
+            out.extend([1] * k)
+            out.append(0)
+        return tuple(out)
+
+    return TailWord(0, expand(v.preperiod), expand(v.period))
+
+
+def same_fields(a, b):
+    return (a.floor, a.preperiod, a.period) == (b.floor, b.preperiod, b.period)
 
 
 class TestFiniteWord:
@@ -283,3 +329,38 @@ class TestBlockCodec:
     def test_block_decode_then_encode_random(self, pre, per):
         v = tail(pre, per)
         assert block_encode(block_decode(v)) == v
+
+    def test_decode_rejects_nonzero_floor(self):
+        for v in (TailWord(1, (2, 1), (3,)), constant(2, 2), TailWord(3, (), (3, 4))):
+            with pytest.raises(ValueError):
+                block_decode(v)
+
+    @given(
+        pre=st.lists(st.integers(0, 1), max_size=16),
+        per=st.lists(st.integers(0, 1), min_size=1, max_size=10),
+    )
+    def test_encode_matches_loop(self, pre, per):
+        if all(b == 1 for b in per):
+            per[-1] = 0
+        w = tail(pre, per)
+        assert same_fields(block_encode(w), block_encode_by_loop(w))
+
+    def test_encode_matches_loop_seeded(self):
+        # non-canonical input too: repeated periods, preperiods ending in period letters
+        rng = random.Random(6)
+        for _ in range(3000):
+            pre = [rng.randrange(2) for _ in range(rng.randrange(0, 40))]
+            per = [rng.randrange(2) for _ in range(rng.randrange(1, 25))]
+            per[rng.randrange(len(per))] = 0
+            per = per * rng.randrange(1, 4)
+            pre += per[rng.randrange(len(per)):]
+            w = tail(pre, per)
+            assert same_fields(block_encode(w), block_encode_by_loop(w))
+
+    @given(
+        pre=st.lists(st.integers(0, 6), max_size=10),
+        per=st.lists(st.integers(0, 6), min_size=1, max_size=6),
+    )
+    def test_decode_is_canonical(self, pre, per):
+        v = tail(pre, per)
+        assert same_fields(block_decode(v), block_decode_by_constructor(v))
