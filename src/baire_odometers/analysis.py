@@ -227,9 +227,9 @@ def distribution_test(count: int, grid: int, reference: str = "minkowski") -> fl
     """
     if reference not in ("minkowski", "uniform"):
         raise ValueError(f"unknown reference {reference!r}")
-    buckets = [0] * (grid + 2)  # the last one collects samples above 1
+    buckets = [0] * (grid + 1)
     for x in enumerate_rationals("cf", count):
-        buckets[min(-(-x.numerator * grid // x.denominator), grid + 1)] += 1
+        buckets[-(-x.numerator * grid // x.denominator)] += 1
     worst = 0.0
     below = 0
     for i in range(grid + 1):

@@ -10,7 +10,7 @@ and the shift drops the first letter.  fast_forward performs m binary steps
 at once as arbitrary-precision addition, treating eventually constant binary
 words as 2-adic integers (an all-ones tail is a two's-complement negative).
 baire_fast_forward carries that jump through the block conjugacy: m steps of
-baire_step cost one addition plus two linear recodings, not m steps.
+baire_step cost one addition plus two recodings, not m steps.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def fast_forward(w: TailWord, m: int) -> TailWord:
 
 
 def baire_fast_forward(w: TailWord, m: int) -> TailWord:
-    """Apply baire_step m times in O(log m + length); m < 0 raises ValueError.
+    """Apply baire_step m times as one 2-adic addition; m < 0 raises ValueError.
 
     The letters are shifted to floor 0, recoded by block_decode into the
     binary word whose dyadic_step is conjugate to baire_step, advanced m
@@ -98,19 +98,15 @@ def _relabel(w: TailWord, delta: int) -> TailWord:
 
 
 def _bits_value(bits: tuple[int, ...]) -> int:
-    # LSB-first binary digits to integer, through one linear base-2 parse
-    return int(bytes(reversed(bits)).translate(_TO_DIGITS) or b"0", 2)
+    # LSB-first binary digits to integer
+    v = 0
+    for b in reversed(bits):
+        v = (v << 1) | b
+    return v
 
 
 def _bit_tuple(v: int, width: int) -> tuple[int, ...]:
-    # the LSB-first digits of 0 <= v < 2^width, through one base-2 format
-    if not width:
-        return ()
-    return tuple(format(v, f"0{width}b").encode().translate(_FROM_DIGITS))[::-1]
-
-
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+    return tuple((v >> i) & 1 for i in range(width))
 
 
 def _from_int(v: int) -> TailWord:

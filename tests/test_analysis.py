@@ -227,17 +227,12 @@ class TestDistribution:
             distribution_test(256, 64, "gaussian")
 
     @pytest.mark.parametrize("reference", ["minkowski", "uniform"])
-    @pytest.mark.parametrize("grid", [64, 100, 1024])
-    @pytest.mark.parametrize("count", [1 << e for e in range(8, 15)])
+    @pytest.mark.parametrize("grid", [1, 7, 64, 100, 1024])
+    @pytest.mark.parametrize("count", [1, 2, 3, 1000, 3001] + [1 << e for e in range(8, 15)])
     def test_matches_sorted_oracle(self, count, grid, reference):
         # bit-identical floats, not merely close ones
         got = distribution_test(count, grid, reference)
         assert got.hex() == distribution_test_by_sort(count, grid, reference).hex()
-
-    def test_odd_counts_match_sorted_oracle(self):
-        for count in (1, 2, 3, 1000, 3001):
-            for grid in (1, 7, 64):
-                assert distribution_test(count, grid) == distribution_test_by_sort(count, grid)
 
 
 class TestFrequencies:

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from baire_odometers.odometers import (
-    _bit_tuple,
-    _bits_value,
     baire_fast_forward,
     baire_step,
     dyadic_step,
@@ -58,17 +56,6 @@ def add_lsb_first(bits, m):
     n = len(bits)
     v = (sum(b << i for i, b in enumerate(bits)) + m) % (1 << n)
     return tuple((v >> i) & 1 for i in range(n))
-
-
-def bits_value_by_loop(bits):
-    v = 0
-    for b in reversed(bits):
-        v = (v << 1) | b
-    return v
-
-
-def bit_tuple_by_loop(v, width):
-    return tuple((v >> i) & 1 for i in range(width))
 
 
 class TestCanonicalResults:
@@ -211,14 +198,6 @@ class TestFastForward:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             fast_forward(constant(0), -1)
-
-    def test_bit_conversions_match_loops(self):
-        rng = random.Random(6)
-        for n in list(range(70)) + [1000, 5003]:
-            bits = tuple(rng.randrange(2) for _ in range(n))
-            v = bits_value_by_loop(bits)
-            assert _bits_value(bits) == v
-            assert _bit_tuple(v, n) == bit_tuple_by_loop(v, n) == bits
 
     def test_long_words_and_huge_counts(self):
         rng = random.Random(7)
