@@ -1,25 +1,29 @@
-"""Independent oracles and statistics for the enumerations.
+"""Independent oracles, statistics and the verification suites.
 
 The enumeration routes built from word arithmetic are cross-checked here
 against constructions that share no code with them: the Stern diatomic
 sequence, direct breadth-first traversal of the rational son rules, duplicate
 audits, and distributional probes (Minkowski question-mark statistics and
-cylinder frequencies).
+cylinder frequencies).  SUITES holds the checks that `verify` runs.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-from typing import Iterator
+from itertools import chain, islice, pairwise, zip_longest
+from typing import Callable, Iterable, Iterator
 
-from .codecs import BCF_ZERO, SYSTEMS, BcfWord, cf_decode, system as codec_system
-from .interval_maps import question_mark
-from .odometers import baire_step
-from .word_actions import Policy, orbit
-from .words import FiniteWord, constant, total_index
+from .codecs import (BCF_ZERO, SYSTEMS, BcfWord, bcf_decode, bcf_encode, bcf_finite_form,
+                     bcf_tail_form, cf_decode, cf_encode, system as codec_system)
+from .interval_maps import gauss_odometer, k_gauss_odometer, question_mark, renyi_odometer
+from .odometers import baire_fast_forward, baire_step, dyadic_step, renormalization_exponent
+from .word_actions import Policy, enumerate_words, orbit, step as word_step
+from .words import (FiniteWord, block_encode, compare_rlex, constant, drop_front, tail,
+                    total_index)
 
 _STERN_LEAF = 2048  # bit strings up to this length are multiplied out bit by bit
 
@@ -250,3 +254,177 @@ def frequency_test(word_floor: int, steps: int) -> dict[int, float]:
         counts[a] = counts.get(a, 0) + 1
         w = baire_step(w)
     return {a: c / steps for a, c in sorted(counts.items())}
+
+
+# ---------------------------------------------------------------- verify
+#
+# A suite is a function of the budget that returns its checks, each a
+# (name, passed, detail) triple; a failing detail names the first failing
+# case (the distribution probes give their statistic instead).  The random
+# suites seed their own generator, so a suite run alone draws the same cases
+# as in a run of all suites.
+
+Check = tuple[str, bool, str]
+
+MIN_BUDGET = 2  # the least budget at which every check has a case and every gate can be met
+SEED = 20260814
+
+
+def _tally(mismatch: Callable[..., bool], cases: Iterable[dict]) -> tuple[int, int, str]:
+    """Call mismatch(**case) on every case: (cases, mismatches, a note naming
+    the first mismatching case, ", first at key=value ...", or "")."""
+    total = bad = 0
+    note = ""
+    for case in cases:
+        total += 1
+        if mismatch(**case):
+            if not bad:
+                note = ", first at " + " ".join(f"{k}={v}" for k, v in case.items())
+            bad += 1
+    return total, bad, note
+
+
+def _check_conjugacy(budget: int) -> list[Check]:
+    rng = random.Random(SEED)
+
+    def cases() -> Iterator[dict]:
+        for _ in range(10_000):
+            pre = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 10)))
+            per = [rng.randrange(2) for _ in range(rng.randrange(1, 7))]
+            per[rng.randrange(len(per))] = 0  # keep a block boundary in every tail
+            yield {"w": tail(pre, per)}
+
+    total, bad, note = _tally(
+        lambda w: block_encode(dyadic_step(w)) != baire_step(block_encode(w)), cases())
+    return [("conjugacy: recode(add 1) = step(recode)", bad == 0,
+             f"{total} random binary words, {bad} mismatches{note}")]
+
+
+def _check_renorm(budget: int) -> list[Check]:
+    rng = random.Random(SEED)
+
+    def cases() -> Iterator[dict]:
+        for _ in range(100):
+            pre = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 5)))
+            per = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 4)))
+            w = tail(pre, per)
+            yield from ({"w": w, "m": m, "n": n} for m in range(4) for n in range(4))
+
+    def mismatch(w, m: int, n: int) -> bool:
+        lhs = drop_front(w, n)
+        for _ in range(m):
+            lhs = baire_step(lhs)
+        e = renormalization_exponent(w, m, n)
+        return lhs != drop_front(baire_fast_forward(w, e), n)
+
+    _, bad, note = _tally(mismatch, cases())
+    return [("renormalization: step^m shift^n = shift^n step^(m 2^n 2^(w1+..+wn))",
+             bad == 0, f"100 words x m,n <= 3, {bad} mismatches{note}")]
+
+
+def _check_counting(budget: int) -> list[Check]:
+    level = min(budget, 15)
+    count = (1 << level) - 1
+    pairs = enumerate(pairwise(chain((None,), enumerate_words(1, count))))
+
+    def mismatch(n: int, prev, w) -> bool:  # w is word n and must come right after prev
+        return total_index(w) != n or (prev is not None and compare_rlex(prev, w) != -1)
+
+    _, bad, note = _tally(mismatch, ({"n": n, "prev": prev, "w": w} for n, (prev, w) in pairs))
+    return [("counting: top-down orbit of (1) is the ordered bijection",
+             bad == 0, f"first {count} words (sums <= {level}){note}")]
+
+
+def _reduced(q_max: int, start: int) -> Iterator[dict]:
+    """{"x": p/q} in lowest terms for q <= q_max and start <= p < q + start:
+    the rationals of (0, 1] for start 1, of [0, 1) for start 0."""
+    for q in range(1, q_max + 1):
+        for p in range(start, q + start):
+            if math.gcd(p, q) == 1:
+                yield {"x": Fraction(p, q)}
+
+
+def _same(values: Iterable, oracle: Iterable) -> tuple[int, int, str]:
+    """_tally of two sequences compared term by term."""
+    pairs = enumerate(zip_longest(values, oracle))
+    return _tally(lambda n, value, oracle: value != oracle,
+                  ({"n": n, "value": a, "oracle": b} for n, (a, b) in pairs))
+
+
+def _check_oracles(budget: int) -> list[Check]:
+    q_max = min(200, max(20, 17 * budget))
+    total, bad, note = _tally(
+        lambda x: gauss_odometer(x) != cf_decode(word_step(cf_encode(x), Policy.CYCLIC)),
+        _reduced(q_max, 1))
+    checks = [("gauss closed form = cyclic word action", bad == 0,
+               f"{total} rationals, q <= {q_max}, {bad} mismatches{note}")]
+    total, bad, note = _tally(lambda x: renyi_odometer(x) != bcf_decode(
+        bcf_finite_form(baire_step(bcf_tail_form(bcf_encode(x))))), _reduced(q_max, 0))
+    checks.append(("renyi closed form = backward word action", bad == 0,
+                   f"{total} rationals, q <= {q_max}, {bad} mismatches{note}"))
+    for k in (2, 3):
+        total, bad, note = _tally(lambda x: k_gauss_odometer(x, k) != cf_decode(
+            word_step(FiniteWord(k, cf_encode(x).letters), Policy.CYCLIC)),
+            (case for case in _reduced(q_max, 1) if min(cf_encode(case["x"]).letters) >= k))
+        checks.append((f"restricted gauss closed form (k={k}) = word action",
+                       bad == 0, f"{total} admissible rationals, {bad} mismatches{note}"))
+
+    depth = 1 << min(budget, 12)
+    for name in SYSTEMS:
+        _, bad, note = _same(enumerate_rationals(name, depth, "root"), bfs_oracle(name, depth))
+        checks.append((f"{name} enumeration = son-rule breadth-first oracle",
+                       bad == 0, f"first {depth} values{note}"))
+    _, bad, note = _same(enumerate_rationals("bcf", depth), stern_oracle(depth))
+    checks.append(("bcf enumeration = Stern diatomic oracle", bad == 0,
+                   f"first {depth} values{note}"))
+    return checks
+
+
+def _check_periods(budget: int) -> list[Check]:
+    top = min(budget, 12)
+
+    def broken(s: int) -> bool:
+        """Whether the orbit of 1/s fails to close after 2^(s-1) steps through
+        2^(s-2) points, each met twice, 2^(s-2) steps apart."""
+        half = 1 << (s - 2)
+        v = Fraction(1, s)
+        at: dict[Fraction, list[int]] = {}
+        for i in range(2 * half):
+            at.setdefault(v, []).append(i)
+            v = gauss_odometer(v)
+        return v != Fraction(1, s) or len(at) != half or any(
+            len(p) != 2 or p[1] - p[0] != half for p in at.values())
+
+    _, bad, note = _tally(broken, ({"s": s} for s in range(2, top + 1)))
+    return [("gauss odometer periods are exactly 2^(digit sum - 2)", bad == 0,
+             f"levels 2..{top}{note}")]
+
+
+def _check_distribution(budget: int) -> list[Check]:
+    count = 1 << min(budget + 4, 16)
+    ks = distribution_test(count, 1024)
+    control = distribution_test(count, 1024, "uniform")
+    freq = frequency_test(0, count)
+    worst = max(abs(freq.get(a, 0.0) - 2.0 ** (-a - 1)) for a in range(6))
+    return [
+        ("cf enumeration follows the question-mark distribution",
+         ks < 0.02, f"KS {ks:.5f} over {count} samples"),
+        ("negative control: uniform reference fails", control > 0.1, f"KS {control:.5f}"),
+        ("first-letter frequencies match 2^-(k+1)", worst < 0.01,
+         f"max deviation {worst:.5f} over {count} steps"),
+    ]
+
+
+SUITES: dict[str, Callable[[int], list[Check]]] = {
+    "conjugacy": _check_conjugacy,
+    "renorm": _check_renorm,
+    "counting": _check_counting,
+    "oracles": _check_oracles,
+    "periods": _check_periods,
+    "distribution": _check_distribution,
+}
+
+
+def run_suite(name: str, budget: int) -> list[Check]:
+    """The checks of one suite; a budget below MIN_BUDGET runs as MIN_BUDGET."""
+    return SUITES[name](max(budget, MIN_BUDGET))

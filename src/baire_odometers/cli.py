@@ -13,25 +13,12 @@ import argparse
 import csv
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from . import analysis, odometers, words
-from .codecs import (
-    BCF_ZERO,
-    SYSTEMS,
-    bcf_decode,
-    bcf_encode,
-    bcf_finite_form,
-    bcf_tail_form,
-    cf_decode,
-    cf_encode,
-    format_rational,
-    parse_rational,
-    system,
-)
+from . import analysis
+from .codecs import BCF_ZERO, SYSTEMS, format_rational, parse_rational, system
 from .interval_maps import (
     Boundary,
     dyadic_interval_step,
@@ -43,8 +30,8 @@ from .interval_maps import (
 )
 from .odometers import baire_step, dyadic_step
 from .trees import locate, subtree_level
-from .word_actions import Policy, enumerate_words, orbit as word_orbit, step as word_step
-from .words import FiniteWord, TailWord, block_encode, compare_rlex, tail, total_index
+from .word_actions import Policy, orbit as word_orbit
+from .words import FiniteWord, TailWord
 
 ERROR_WIDTH = 200  # an error line longer than this is cut short
 
@@ -167,48 +154,23 @@ def _value_orbit_rows(args) -> Iterator[Row]:
     }[args.map]
     _, encode, _ = system(RATIONAL_MAPS[args.map])
     cur = parse_rational(args.start)
+    after = step(cur)  # the map rejects a start outside its domain before row 0 prints
     for n in range(args.steps + 1):
         try:
             w = encode(cur)
         except ValueError:  # the point lies outside the codec's domain
             w = None
-        if n == 0:
-            _check_start(args, cur, w, k)
         yield _value_row({"n": n, "word": None if w is None else list(w.letters)},
                          cur, w, args.decimal)
         if n < args.steps:
-            cur = step(cur)
-
-
-def _check_start(args, x: Fraction, w, k: int) -> None:
-    """Reject a start outside the domain of the interval map before its row
-    is printed; w is the start's codec word, None outside the codec's domain.
-    A step rejects a point only after that point's row."""
-    if args.map == "OGk":  # cf digits >= k, which puts x in (0, 1/k]
-        ok = w is not None and all(a >= k for a in w.letters)
-        domain = f"(0, 1/{k}] with continued-fraction digits >= {k}"
-    elif args.map in ("OR", "renyi", "interval-dyadic"):
-        ok, domain = 0 <= x < 1, "[0, 1)"
-    elif args.map == "OG" and args.boundary == "left":
-        ok, domain = 0 < x < 1, "(0, 1)"
-    else:  # OG, gauss
-        ok, domain = 0 < x <= 1, "(0, 1]"
-    if not ok:
-        raise ValueError(f"{x} outside {domain}")
+            cur = after if n == 0 else step(cur)
 
 
 # --------------------------------------------------------------------- tree
 
 def _cmd_tree(args) -> int:
     root = parse_word(args.root, args.floor) if args.root else FiniteWord(args.floor, (args.floor,))
-    decode = None
-    if args.values:
-        low, _, decode = system(args.values)
-        if args.values == "dyadic" and args.floor != 0:
-            raise ValueError("dyadic values need floor 0")
-        if args.floor < low:
-            raise ValueError(f"{args.values} values need letters >= {low}")
-
+    decode = system(args.values)[2] if args.values else None
     at = locate(root)
     for depth in range(1, args.levels + 1):
         level = subtree_level(root, depth, args.mirror)
@@ -247,156 +209,11 @@ def _cmd_codec(args) -> int:
 
 # ------------------------------------------------------------------- verify
 
-Check = tuple[str, bool, str]  # (check name, passed, detail)
-
-
-def _suite_conjugacy(budget: int, rng: random.Random) -> list[Check]:
-    cases = 10_000
-    bad = 0
-    for _ in range(cases):
-        pre = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 10)))
-        per = [rng.randrange(2) for _ in range(rng.randrange(1, 7))]
-        per[rng.randrange(len(per))] = 0  # keep a block boundary in every tail
-        w = tail(pre, per)
-        if block_encode(dyadic_step(w)) != baire_step(block_encode(w)):
-            bad += 1
-    return [("conjugacy: recode(add 1) = step(recode)", bad == 0,
-             f"{cases} random binary words, {bad} mismatches")]
-
-
-def _suite_renorm(budget: int, rng: random.Random) -> list[Check]:
-    bad = 0
-    cases = 100
-    for _ in range(cases):
-        pre = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 5)))
-        per = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 4)))
-        w = tail(pre, per)
-        for m in range(4):
-            for n in range(4):
-                e = odometers.renormalization_exponent(w, m, n)
-                lhs = words.drop_front(w, n)
-                for _ in range(m):
-                    lhs = baire_step(lhs)
-                bad += lhs != words.drop_front(odometers.baire_fast_forward(w, e), n)
-    return [("renormalization: step^m shift^n = shift^n step^(m 2^n 2^(w1+..+wn))",
-             bad == 0, f"{cases} words x m,n <= 3, {bad} mismatches")]
-
-
-def _suite_counting(budget: int, rng: random.Random) -> list[Check]:
-    level = min(budget, 15)
-    count = (1 << level) - 1
-    prev = None
-    seen = 0  # the words checked before the first failure
-    for n, w in enumerate(enumerate_words(1, count)):
-        if total_index(w) != n or (prev is not None and compare_rlex(prev, w) != -1):
-            break
-        prev = w
-        seen += 1
-    return [("counting: top-down orbit of (1) is the ordered bijection",
-             seen == count, f"first {count} words (sums <= {level})")]
-
-
-def _reduced(q_max: int, start: int) -> Iterator[Fraction]:
-    """p/q in lowest terms for q <= q_max and start <= p < q + start:
-    the rationals of (0, 1] for start 1, of [0, 1) for start 0."""
-    for q in range(1, q_max + 1):
-        for p in range(start, q + start):
-            if math.gcd(p, q) == 1:
-                yield Fraction(p, q)
-
-
-def _suite_oracles(budget: int, rng: random.Random) -> list[Check]:
-    q_max = min(200, max(20, 17 * budget))
-    checks = []
-
-    bad = total = 0
-    for x in _reduced(q_max, 1):
-        total += 1
-        bad += gauss_odometer(x) != cf_decode(word_step(cf_encode(x), Policy.CYCLIC))
-    checks.append(("gauss closed form = cyclic word action", bad == 0,
-                   f"{total} rationals, q <= {q_max}, {bad} mismatches"))
-
-    bad = total = 0
-    for x in _reduced(q_max, 0):
-        total += 1
-        stepped = baire_step(bcf_tail_form(bcf_encode(x)))
-        bad += renyi_odometer(x) != bcf_decode(bcf_finite_form(stepped))
-    checks.append(("renyi closed form = backward word action", bad == 0,
-                   f"{total} rationals, q <= {q_max}, {bad} mismatches"))
-
-    for k in (2, 3):
-        bad = total = 0
-        for x in _reduced(q_max, 1):
-            w = cf_encode(x)
-            if any(a < k for a in w.letters):
-                continue
-            total += 1
-            oracle = cf_decode(word_step(FiniteWord(k, w.letters), Policy.CYCLIC))
-            bad += k_gauss_odometer(x, k) != oracle
-        checks.append((f"restricted gauss closed form (k={k}) = word action",
-                       bad == 0, f"{total} admissible rationals, {bad} mismatches"))
-
-    depth = 1 << min(budget, 12)
-    for name in SYSTEMS:
-        enum = list(analysis.enumerate_rationals(name, depth, "root"))
-        oracle = list(analysis.bfs_oracle(name, depth))
-        checks.append((f"{name} enumeration = son-rule breadth-first oracle",
-                       enum == oracle, f"first {depth} values"))
-    stern_side = list(analysis.stern_oracle(depth))
-    bcf_side = list(analysis.enumerate_rationals("bcf", depth))
-    checks.append(("bcf enumeration = Stern diatomic oracle",
-                   stern_side == bcf_side, f"first {depth} values"))
-    return checks
-
-
-def _suite_periods(budget: int, rng: random.Random) -> list[Check]:
-    name = "gauss odometer periods are exactly 2^(digit sum - 2)"
-    top = min(budget, 12)
-    for s in range(2, top + 1):
-        cycle = 1 << (s - 1)
-        v = Fraction(1, s)
-        at: dict[Fraction, list[int]] = {}
-        for i in range(cycle):
-            at.setdefault(v, []).append(i)
-            v = gauss_odometer(v)
-        if v != Fraction(1, s) or len(at) != 1 << (s - 2):
-            return [(name, False, f"cycle of level {s} broken")]
-        if any(len(p) != 2 or p[1] - p[0] != 1 << (s - 2) for p in at.values()):
-            return [(name, False, f"period at level {s} is not exactly 2^{s - 2}")]
-    return [(name, True, f"levels 2..{top}")]
-
-
-def _suite_distribution(budget: int, rng: random.Random) -> list[Check]:
-    count = 1 << min(budget + 4, 16)
-    ks = analysis.distribution_test(count, 1024)
-    control = analysis.distribution_test(count, 1024, "uniform")
-    freq = analysis.frequency_test(0, count)
-    worst = max(abs(freq.get(a, 0.0) - 2.0 ** (-a - 1)) for a in range(6))
-    return [
-        ("cf enumeration follows the question-mark distribution",
-         ks < 0.02, f"KS {ks:.5f} over {count} samples"),
-        ("negative control: uniform reference fails", control > 0.1, f"KS {control:.5f}"),
-        ("first-letter frequencies match 2^-(k+1)", worst < 0.01,
-         f"max deviation {worst:.5f} over {count} steps"),
-    ]
-
-
-SUITES = {
-    "conjugacy": _suite_conjugacy,
-    "renorm": _suite_renorm,
-    "counting": _suite_counting,
-    "oracles": _suite_oracles,
-    "periods": _suite_periods,
-    "distribution": _suite_distribution,
-}
-
-
 def _cmd_verify(args) -> int:
-    rng = random.Random(20260814)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(analysis.SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
-        for check, ok, detail in SUITES[name](args.budget, rng):
+        for check, ok, detail in analysis.run_suite(name, args.budget):
             print(f"{'ok  ' if ok else 'FAIL'} [{name}] {check}: {detail}")
             failures += 0 if ok else 1
     return 1 if failures else 0
@@ -458,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_codec)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", default="all", choices=list(SUITES) + ["all"])
+    p.add_argument("--suite", default="all", choices=[*analysis.SUITES, "all"])
     p.add_argument("--budget", type=_at_least(0), default=12)
     p.set_defaults(func=_cmd_verify)
 

@@ -170,7 +170,7 @@ def bcf_decode(w: BcfWord) -> Fraction:
     """
     if isinstance(w, _BcfZero):
         return Fraction(0)
-    if any(a < 2 for a in w.letters):
+    if w.floor < 2:
         raise ValueError("backward continued-fraction words need letters >= 2")
     p, _, q, _ = _letter_product(w.letters, -1)
     return Fraction(p - q, p)
@@ -221,6 +221,8 @@ def dyadic_encode(x: Fraction) -> FiniteWord:
 
 def dyadic_decode(w: FiniteWord) -> Fraction:
     """Exact value of a floor-0 word; inverse of dyadic_encode on its range."""
+    if w.floor != 0:
+        raise ValueError("dyadic words need floor 0")
     bits = ""
     for a in w.letters[:-1]:
         bits += "1" * a + "0"

@@ -124,17 +124,17 @@ def gauss_odometer(x: Fraction, boundary: Boundary = Boundary.RIGHT) -> Fraction
     RIGHT (the default) takes the branch value continuous from the right;
     it coincides with the cyclic word action on continued-fraction digits.
     LEFT takes the left limit at the branch points 1/M, stepping to the
-    shorter word (1, ..., 1) of M-1 ones; it is undefined at x = 1, where
-    the left limit leaves the interval.
+    shorter word (1, ..., 1) of M-1 ones; its domain is (0, 1), since at
+    x = 1 the left limit leaves the interval.
     """
-    if not 0 < x <= 1:
-        raise ValueError(f"{x} outside (0, 1]")
     p, q = x.numerator, x.denominator
     if boundary is Boundary.LEFT:
-        if x == 1:
-            raise ValueError("left-boundary value at x=1 escapes (0, 1]")
+        if not 0 < x < 1:
+            raise ValueError(f"{x} outside (0, 1)")
         n = q // p
     else:
+        if not 0 < x <= 1:
+            raise ValueError(f"{x} outside (0, 1]")
         n = -(-q // p) - 1
     return _moebius(x, 1, n, n - 1)
 
@@ -149,23 +149,19 @@ def renyi_odometer(x: Fraction) -> Fraction:
     return Fraction(d, (2 * m + 1) * d - q)  # 1/(2m + 1 - q/d); the denominator exceeds m*d > 0
 
 
-def _k_digits(x: Fraction, k: int) -> FiniteWord:
-    if not 0 < x <= Fraction(1, k):
-        raise ValueError(f"{x} outside (0, 1/{k}]")
-    w = cf_encode(x)
-    if any(a < k for a in w.letters):
-        raise ValueError(f"{x} has a continued-fraction digit below {k}")
-    return w
-
-
 def k_gauss_odometer(x: Fraction, k: int) -> Fraction:
     """Odometer over the Gauss map restricted to digits >= k.
 
     Single-digit points 1/M step cyclically to b(M-k+1)/b(M-k+2), fixing
     1/k; for longer expansions the Moebius closed form applies and equals
-    the floor-k word action.
+    the floor-k word action.  k must be >= 1, and every continued-fraction
+    digit of x >= k (a first digit >= k puts x in (0, 1/k]).
     """
-    w = _k_digits(x, k)
+    if k < 1:
+        raise ValueError("need k >= 1")
+    w = cf_encode(x) if 0 < x <= 1 else None
+    if w is None or min(w.letters) < k:
+        raise ValueError(f"{x} outside (0, 1/{k}] with continued-fraction digits >= {k}")
     if len(w) == 1:
         return Fraction(*_b(k, w.letters[0] - k + 2))
     m = w.letters[0]
@@ -221,11 +217,13 @@ def _gauss_branch_inverse(a: int, y: Fraction) -> Fraction:
 
 
 def gauss_cmi() -> CmiMap:
-    return CmiMap(1, Policy.CYCLIC, gauss, _gauss_digit, _gauss_branch_inverse)
+    return k_gauss_cmi(1)
 
 
 def k_gauss_cmi(k: int) -> CmiMap:
     # same branches as the Gauss map; floor-k words reject stray digits
+    if k < 1:
+        raise ValueError("need k >= 1")
     return CmiMap(k, Policy.CYCLIC, gauss, _gauss_digit, _gauss_branch_inverse)
 
 

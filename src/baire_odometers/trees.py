@@ -33,8 +33,7 @@ def parent(w: FiniteWord) -> FiniteWord | None:
 
 def level_words(floor: int, level: int, mirror: bool = False) -> list[FiniteWord]:
     """The 2^(level-1) words of the given level, left to right."""
-    rows = [word_at(level, p, floor) for p in range(1 << (level - 1))]
-    return rows[::-1] if mirror else rows
+    return subtree_level(FiniteWord(floor, (floor,)), level, mirror)
 
 
 def locate(w: FiniteWord) -> TreeAddress:

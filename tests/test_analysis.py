@@ -5,8 +5,10 @@ from itertools import islice
 
 import pytest
 
+from baire_odometers import analysis, codecs
 from baire_odometers.analysis import (
     _STERN_LEAF,
+    SUITES,
     audit_enumeration,
     bfs_oracle,
     distribution_test,
@@ -254,3 +256,79 @@ class TestFrequencies:
             ones += w.letter(1)
             w = dyadic_step(w)
         assert ones == 1 << 7
+
+
+# One fault per check: (suite, check index, module, function the check covers,
+# fires(i, *args) on the i-th call (from 0), wrong(result, *args) returned then,
+# text(seen, i, result) the FAIL line must hold, from every call's args, the
+# first firing call and its true result).  Run at budget 4.
+FAULTS = [
+    ("conjugacy", 0, analysis, "dyadic_step", lambda i, w: i >= 2, lambda r, w: w,
+     lambda seen, i, r: f", first at w={seen[i][0]}"),
+    ("renorm", 0, analysis, "renormalization_exponent",
+     lambda i, w, m, n: i >= 16 and m == n == 0, lambda r, *args: r + 1,
+     lambda seen, i, r: f", first at w={seen[i][0]} m=0 n=0"),
+    ("counting", 0, analysis, "total_index", lambda i, w: i >= 2, lambda r, w: r + 1,
+     lambda seen, i, r: f"words (sums <= 4), first at n=2 prev={seen[1][0]} w={seen[2][0]}"),
+    ("oracles", 0, analysis, "gauss_odometer", lambda i, x: x.denominator == 7,
+     lambda r, x: x, lambda seen, i, r: "q <= 68, 6 mismatches, first at x=1/7"),
+    ("oracles", 1, analysis, "renyi_odometer", lambda i, x: x.denominator == 7,
+     lambda r, x: x, lambda seen, i, r: "q <= 68, 6 mismatches, first at x=1/7"),
+    ("oracles", 2, analysis, "k_gauss_odometer", lambda i, x, k: k == 2 and x.denominator == 7,
+     lambda r, x, k: x, lambda seen, i, r: "3 mismatches, first at x=1/7"),
+    ("oracles", 3, analysis, "k_gauss_odometer", lambda i, x, k: k == 3 and x.denominator == 7,
+     lambda r, x, k: x, lambda seen, i, r: "1 mismatches, first at x=1/7"),
+    ("oracles", 4, codecs, "cf_decode", lambda i, w: i == 2, lambda r, w: r + 1,
+     lambda seen, i, r: f"first 16 values, first at n=2 value={r + 1} oracle={r}"),
+    ("oracles", 5, codecs, "bcf_decode", lambda i, w: i == 2, lambda r, w: r + 1,
+     lambda seen, i, r: f"first 16 values, first at n=2 value={r + 1} oracle={r}"),
+    ("oracles", 6, codecs, "dyadic_decode", lambda i, w: i == 2, lambda r, w: r + 1,
+     lambda seen, i, r: f"first 16 values, first at n=2 value={r + 1} oracle={r}"),
+    ("oracles", 7, analysis, "stern", lambda i, n: n == 4, lambda r, n: r + 1,
+     lambda seen, i, r: "first 16 values, first at n=2 value=1/3 oracle=2/3"),
+    ("periods", 0, analysis, "gauss_odometer", lambda i, x: x in (Fraction(1, 3), Fraction(1, 4)),
+     lambda r, x: x, lambda seen, i, r: "levels 2..4, first at s=3"),
+    ("distribution", 0, analysis, "question_mark", lambda i, *args: True,
+     lambda r, x, *args: x, lambda seen, i, r: " over 256 samples"),
+    ("distribution", 1, analysis, "distribution_test",
+     lambda i, count, grid, reference="minkowski": reference == "uniform",
+     lambda r, *args: 0.0, lambda seen, i, r: "KS 0.00000"),
+    ("distribution", 2, analysis, "frequency_test", lambda i, *args: True,
+     lambda r, *args: {0: 1.0}, lambda seen, i, r: "max deviation 0.50000 over 256 steps"),
+]
+
+
+class TestSuites:
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_every_check_passes_at_budget_2(self, name):
+        checks = SUITES[name](2)
+        assert checks and all(ok for _, ok, _ in checks), checks
+
+    def test_every_check_has_a_fault(self):
+        covered = {(suite, index) for suite, index, *_ in FAULTS}
+        assert covered == {(name, i) for name, suite in SUITES.items()
+                           for i in range(len(suite(2)))}
+
+    @pytest.mark.parametrize("suite, index, module, function, fires, wrong, text", FAULTS,
+                             ids=[f"{f[0]}-{f[1]}-{f[3]}" for f in FAULTS])
+    def test_fault_fails_the_check_and_names_the_first_failing_case(
+            self, monkeypatch, suite, index, module, function, fires, wrong, text):
+        real = getattr(module, function)
+        seen, fired = [], []
+
+        def faulty(*args):
+            result = real(*args)
+            seen.append(args)
+            if fires(len(seen) - 1, *args):
+                fired.append((len(seen) - 1, result))
+                return wrong(result, *args)
+            return result
+
+        monkeypatch.setattr(module, function, faulty)
+        checks = SUITES[suite](4)
+        monkeypatch.undo()
+        assert fired, "the fault never fired"
+        name, ok, detail = checks[index]
+        assert not ok, (name, detail)
+        i, result = fired[0]
+        assert text(seen, i, result) in detail

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baire_odometers import analysis
 from baire_odometers.cli import main
 from baire_odometers.interval_maps import gauss_odometer
 from baire_odometers.trees import locate
@@ -177,6 +178,11 @@ class TestOrbit:
         assert code == 0
         assert out.splitlines() == [argv[-1]]
 
+    def test_left_boundary_orbit_reaching_1_is_rejected_there(self, capsys):
+        code, out, err = run(capsys, "orbit", "--map", "OG", "--start", "1/2", "--steps", "4",
+                             "--boundary", "left")
+        assert (code, out, err) == (2, "1/2\n1\n", "error: 1 outside (0, 1)\n")
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "orbit", "--map", "OG", "--start", "2/3", "--steps", "1",
                            "--format", "csv")
@@ -267,6 +273,18 @@ class TestTree:
         code, _, err = run(capsys, "tree", "--floor", "0", "--levels", "2",
                            "--values", "cf")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("floor, values, message", [
+        ("0", "cf", "continued-fraction words need letters >= 1"),
+        ("0", "bcf", "backward continued-fraction words need letters >= 2"),
+        ("1", "bcf", "backward continued-fraction words need letters >= 2"),
+        ("1", "dyadic", "dyadic words need floor 0"),
+    ])
+    def test_decoder_rejects_the_floor_before_any_row(self, capsys, floor, values, message, fmt):
+        code, out, err = run(capsys, "tree", "--floor", floor, "--levels", "3",
+                             "--values", values, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestCodec:
@@ -382,6 +400,27 @@ class TestVerify:
         assert code == 0
         assert "2^(digit sum - 2)" in out
 
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_budget_below_2_runs_as_2(self, capsys, budget):
+        code, out, _ = run(capsys, "verify", "--budget", budget)
+        assert code == 0
+        assert out == run(capsys, "verify", "--budget", "2")[1]
+
+    def test_renorm_fails_on_the_same_word_alone_and_in_all(self, capsys, monkeypatch):
+        real = analysis.renormalization_exponent
+
+        def faulty(w, m, n):  # one step too many where the period has length 3
+            return real(w, m, n) + (len(w.period) == 3)
+
+        monkeypatch.setattr(analysis, "renormalization_exponent", faulty)
+        fails = []
+        for suite in ("all", "renorm"):
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--budget", "2")
+            assert code == 1
+            fails += [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 2 and fails[0] == fails[1]
+        assert fails[0].startswith("FAIL [renorm]") and ", first at w=" in fails[0]
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -490,6 +529,7 @@ GOLDEN = [
     ("enumerate --system bcf --count 5000 --offset root --format json", 5000, "8234b7bb9bf59a5f"),
     ("enumerate --system bcf --count 5000 --offset root --format csv", 5001, "c5b2407f3c65314c"),
     ("enumerate --system cf --count 5000 --decimal 20", 5000, "a60a20c6d08b8e99"),
+    ("verify --suite all --budget 8", 15, "96d9aee4044b09ff"),
 ]
 
 

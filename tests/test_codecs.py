@@ -212,6 +212,12 @@ class TestBcfCodec:
         with pytest.raises(ValueError):
             bcf_decode(FiniteWord(0, tuple(head) + (low,) + tuple(rest)))
 
+    @pytest.mark.parametrize("floor", [0, 1])
+    def test_floor_below_two_rejected(self, floor):
+        # letters >= 2 on a lower floor are still not a bcf word
+        with pytest.raises(ValueError, match="need letters >= 2"):
+            bcf_decode(FiniteWord(floor, (2, 3)))
+
 
 class TestBcfForms:
     def test_tail_form_examples(self):
@@ -252,6 +258,11 @@ class TestDyadicCodec:
             for p in range(1, 1 << m, 2):
                 x = Fraction(p, 1 << m)
                 assert dyadic_decode(dyadic_encode(x)) == x
+
+    @pytest.mark.parametrize("floor", [1, 2])
+    def test_decode_rejects_other_floors(self, floor):
+        with pytest.raises(ValueError, match="dyadic words need floor 0"):
+            dyadic_decode(FiniteWord(floor, (floor, floor + 1)))
 
     def test_decode_total_on_floor_zero(self):
         # words ending in 0 (non-reduced trailing zeros) still decode

@@ -241,6 +241,17 @@ class TestGaussOdometer:
         with pytest.raises(ValueError):
             gauss_odometer(Fraction(1), Boundary.LEFT)
 
+    @pytest.mark.parametrize("x, boundary, message", [
+        (Fraction(1), Boundary.LEFT, "1 outside (0, 1)"),
+        (Fraction(3, 2), Boundary.LEFT, "3/2 outside (0, 1)"),
+        (Fraction(0), Boundary.LEFT, "0 outside (0, 1)"),
+        (Fraction(3, 2), Boundary.RIGHT, "3/2 outside (0, 1]"),
+    ])
+    def test_domain_message(self, x, boundary, message):
+        with pytest.raises(ValueError) as caught:
+            gauss_odometer(x, boundary)
+        assert str(caught.value) == message
+
     def test_word_action_oracle(self):
         for x in reduced_fractions(200, include_one=True):
             oracle = cf_decode(word_step(cf_encode(x), Policy.CYCLIC))
@@ -324,6 +335,22 @@ class TestKGaussOdometer:
         with pytest.raises(ValueError):
             k_gauss_odometer(Fraction(2, 5), 3)
 
+    @pytest.mark.parametrize("x, k", [
+        (Fraction(2, 7), 3), (Fraction(2, 3), 2), (Fraction(1, 2), 3), (Fraction(0), 2),
+        (Fraction(3, 2), 1),
+    ])
+    def test_domain_message(self, x, k):
+        with pytest.raises(ValueError) as caught:
+            k_gauss_odometer(x, k)
+        assert str(caught.value) == f"{x} outside (0, 1/{k}] with continued-fraction digits >= {k}"
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_1_rejected(self, k):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            k_gauss_odometer(Fraction(1, 3), k)
+        with pytest.raises(ValueError, match="need k >= 1"):
+            k_gauss_cmi(k)
+
     def test_shifted_variant_disagrees(self):
         # the index-shifted coefficients break on the lowest branch
         x = Fraction(2, 5)
@@ -364,6 +391,9 @@ class TestCmiOdometer:
                 w = cf_encode(x)
                 if all(a >= k for a in w.letters):
                     assert cmi_odometer(cmi, x, 64) == k_gauss_odometer(x, k)
+
+    def test_gauss_is_k_gauss_at_1(self):
+        assert gauss_cmi() == k_gauss_cmi(1)
 
     def test_depth_limit(self):
         with pytest.raises(ValueError):
