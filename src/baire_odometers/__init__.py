@@ -51,7 +51,6 @@ from .trees import (
 from .codecs import (
     BCF_ZERO,
     BcfWord,
-    Rational,
     bcf_decode,
     bcf_encode,
     bcf_finite_form,
@@ -83,15 +82,11 @@ from .interval_maps import (
     renyi_odometer,
 )
 from .analysis import (
-    EnumerationReport,
-    MultiplicityReport,
-    audit_enumeration,
     bfs_oracle,
     distribution_test,
     enumerate_coded,
     enumerate_rationals,
     frequency_test,
-    multiplicity_audit,
     stern,
     stern_oracle,
 )

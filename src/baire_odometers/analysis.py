@@ -2,9 +2,11 @@
 
 The enumeration routes built from word arithmetic are cross-checked here
 against constructions that share no code with them: the Stern diatomic
-sequence, direct breadth-first traversal of the rational son rules, duplicate
-audits, and distributional probes (Minkowski question-mark statistics and
-cylinder frequencies).  SUITES holds the checks that `verify` runs.
+sequence, direct breadth-first traversal of the rational son rules, and
+distributional probes (Minkowski question-mark statistics and cylinder
+frequencies).  SUITES holds the checks that `verify` runs; every check but
+the three distribution probes is a tally of cases that names the first
+failing one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, pairwise, zip_longest
 from typing import Callable, Iterable, Iterator
@@ -33,27 +34,13 @@ def stern(n: int) -> int:
 
     Reading the bits of n from the top keeps (a, b) = (s(m+1), s(m)) for the
     prefix m read so far: it starts at (1, 0) for m = 0, a bit 1 adds a to b
-    and a bit 0 adds b to a.  The first _STERN_LEAF bits take that loop.
-    After them, the row (a, b) is multiplied by the matrix product of the
-    next block of bits (see _bit_product), each block as long as all the bits
-    before it, so every big multiplication pairs operands of about equal
-    size: near-linear in the bit length instead of quadratic.
+    and a bit 0 adds b to a.  So (a, b) is the top row of the matrix product
+    of the bits of n (see _bit_product), whose halving recursion pairs
+    operands of about equal size: near-linear in the bit length.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    bits = format(n, "b")
-    a, b = 1, 0
-    for bit in bits[:_STERN_LEAF]:
-        if bit == "1":
-            b += a
-        else:
-            a += b
-    done = _STERN_LEAF
-    while done < len(bits):
-        a2, b2, c2, d2 = _bit_product(bits[done:2 * done])
-        a, b = a * a2 + b * c2, a * b2 + b * d2
-        done *= 2
-    return b
+    return _bit_product(format(n, "b"))[1]
 
 
 def _bit_product(bits: str) -> tuple[int, int, int, int]:
@@ -148,78 +135,6 @@ def stern_oracle(count: int) -> Iterator[Fraction]:
         yield Fraction(stern(2 * m), stern(2 * m + 1))
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    system: str
-    count: int
-    first_collision: int | None
-    order_violation: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_collision is None and self.order_violation is None
-
-
-def audit_enumeration(system: str, count: int) -> EnumerationReport:
-    """Scan an enumeration prefix for duplicate values and word-order breaks.
-
-    Values are re-encoded through the codec (an independent route back to
-    words); their total_index must be strictly increasing.  The letterless
-    bcf word of 0 comes first, at index -1.
-    """
-    _, encode, _ = codec_system(system)
-    seen: set[Fraction] = set()
-    first_collision = None
-    order_violation = None
-    prev = None
-    for n, x in enumerate(enumerate_rationals(system, count)):
-        if first_collision is None and x in seen:
-            first_collision = n
-        seen.add(x)
-        w = encode(x)
-        index = total_index(w) if w.letters else -1
-        if order_violation is None and prev is not None and index <= prev:
-            order_violation = n
-        prev = index
-    return EnumerationReport(system, count, first_collision, order_violation)
-
-
-@dataclass(frozen=True)
-class MultiplicityReport:
-    ok: bool
-    count: int
-    levels: int
-    distinct: int
-    detail: str = ""
-
-
-def multiplicity_audit(count: int) -> MultiplicityReport:
-    """Audit the top-down orbit of (2) over floor 1: each rational of a fully
-    covered level appears at exactly two positions, 2^(s-2) apart (its twin
-    words).  The base value 1/2 appears once; its twin word (1,1) precedes
-    the base point (2).  count must cover whole levels: 2^L - 3."""
-    levels = (count + 3).bit_length() - 1
-    if count != (1 << levels) - 3:
-        raise ValueError(f"count {count} does not cover whole levels (use 2^L - 3)")
-    positions: dict[Fraction, list[int]] = {}
-    for n, w in enumerate(orbit(FiniteWord(1, (2,)), Policy.TOPDOWN, count)):
-        positions.setdefault(cf_decode(w), []).append(n)
-    for x, at in positions.items():
-        if x == Fraction(1, 2):
-            if at != [0]:
-                return MultiplicityReport(False, count, levels, len(positions),
-                                          f"base value 1/2 at {at}")
-            continue
-        if len(at) != 2:
-            return MultiplicityReport(False, count, levels, len(positions),
-                                      f"{x} appears {len(at)} times")
-        s = (at[0] + 3).bit_length()  # orbit position n sits at total_index n + 2
-        if at[1] - at[0] != 1 << (s - 2):
-            return MultiplicityReport(False, count, levels, len(positions),
-                                      f"{x} at {at}, expected gap {1 << (s - 2)}")
-    return MultiplicityReport(True, count, levels, len(positions))
-
-
 def distribution_test(count: int, grid: int, reference: str = "minkowski") -> float:
     """Kolmogorov-Smirnov distance on a uniform grid between the empirical
     CDF of the first count cf-enumerated rationals and a reference CDF
@@ -272,14 +187,20 @@ SEED = 20260814
 
 def _tally(mismatch: Callable[..., bool], cases: Iterable[dict]) -> tuple[int, int, str]:
     """Call mismatch(**case) on every case: (cases, mismatches, a note naming
-    the first mismatching case, ", first at key=value ...", or "")."""
+    the first mismatching case, ", first at key=value ...", or "").  A case
+    whose call raises ValueError or ZeroDivisionError is a mismatch, and
+    its note also names the exception."""
     total = bad = 0
     note = ""
     for case in cases:
         total += 1
-        if mismatch(**case):
+        try:
+            failed, error = mismatch(**case), ""
+        except (ValueError, ZeroDivisionError) as exc:
+            failed, error = True, f" ({type(exc).__name__}: {exc})"
+        if failed:
             if not bad:
-                note = ", first at " + " ".join(f"{k}={v}" for k, v in case.items())
+                note = ", first at " + " ".join(f"{k}={v}" for k, v in case.items()) + error
             bad += 1
     return total, bad, note
 
@@ -324,15 +245,31 @@ def _check_renorm(budget: int) -> list[Check]:
 
 def _check_counting(budget: int) -> list[Check]:
     level = min(budget, 15)
-    count = (1 << level) - 1
-    pairs = enumerate(pairwise(chain((None,), enumerate_words(1, count))))
+    words = list(enumerate_words(1, (1 << level) - 1))
+    pairs = enumerate(pairwise(chain((None,), words)))
 
     def mismatch(n: int, prev, w) -> bool:  # w is word n and must come right after prev
         return total_index(w) != n or (prev is not None and compare_rlex(prev, w) != -1)
 
     _, bad, note = _tally(mismatch, ({"n": n, "prev": prev, "w": w} for n, (prev, w) in pairs))
-    return [("counting: top-down orbit of (1) is the ordered bijection",
-             bad == 0, f"first {count} words (sums <= {level}){note}")]
+    checks = [("counting: top-down orbit of (1) is the ordered bijection",
+               bad == 0, f"first {len(words)} words (sums <= {level}){note}")]
+
+    positions: dict[Fraction, list[int]] = {}
+    for n, w in enumerate(words):
+        positions.setdefault(cf_decode(w), []).append(n)
+
+    def untwinned(x: Fraction, at: list[int]) -> bool:
+        """Whether x misses its place: 1 at word 0 alone, any other value at two
+        words of its level s, 2^(s-2) apart (word n has level (n+1).bit_length())."""
+        if x == 1:
+            return at != [0]
+        return len(at) != 2 or at[1] - at[0] != 1 << ((at[0] + 1).bit_length() - 2)
+
+    total, bad, note = _tally(untwinned, ({"x": x, "at": at} for x, at in positions.items()))
+    checks.append(("twins: each cf value but 1 sits at two words 2^(s-2) apart",
+                   bad == 0, f"{total} values{note}"))
+    return checks
 
 
 def _reduced(q_max: int, start: int) -> Iterator[dict]:

@@ -119,6 +119,17 @@ def _orbit_rows(args) -> Iterator[Row]:
     return _value_orbit_rows(args) if args.map in RATIONAL_MAPS else _word_orbit_rows(args)
 
 
+def _states(step: Callable, start, steps: int) -> Iterator:
+    """The steps + 1 points start, step(start), ...  The first step is taken
+    before start is yielded, so the map rejects a start outside its domain
+    before row 0 prints."""
+    cur, after = start, step(start)
+    for n in range(steps + 1):
+        yield cur
+        if n < steps:
+            cur = after if n == 0 else step(cur)
+
+
 def _word_orbit_rows(args) -> Iterator[Row]:
     k = args.k if args.k is not None else 0 if args.map in ("O", "O0") else 1
     if ";" not in args.start:
@@ -129,20 +140,16 @@ def _word_orbit_rows(args) -> Iterator[Row]:
             text = str(cur)
             yield {"n": n, "word": list(cur.letters), "floor": cur.floor}, text, text
         return
-    cur = parse_tailword(args.start, 0 if args.map == "O" else k)
+    start = parse_tailword(args.start, 0 if args.map == "O" else k)
     step = dyadic_step if args.map == "O" else baire_step
-    for n in range(args.steps + 1):
+    for n, cur in enumerate(_states(step, start, args.steps)):
         text = str(cur)
         word = {"pre": list(cur.preperiod), "per": list(cur.period), "floor": cur.floor}
         yield {"n": n, "word": word}, text, text
-        if n < args.steps:
-            cur = step(cur)
 
 
 def _value_orbit_rows(args) -> Iterator[Row]:
     k = args.k if args.k is not None else 2
-    if args.map == "OGk" and k < 1:
-        raise ValueError("--k must be >= 1 for OGk")
     boundary = Boundary(args.boundary)
     step: Callable[[Fraction], Fraction] = {
         "OG": lambda x: gauss_odometer(x, boundary),
@@ -153,17 +160,13 @@ def _value_orbit_rows(args) -> Iterator[Row]:
         "interval-dyadic": dyadic_interval_step,
     }[args.map]
     _, encode, _ = system(RATIONAL_MAPS[args.map])
-    cur = parse_rational(args.start)
-    after = step(cur)  # the map rejects a start outside its domain before row 0 prints
-    for n in range(args.steps + 1):
+    for n, cur in enumerate(_states(step, parse_rational(args.start), args.steps)):
         try:
             w = encode(cur)
         except ValueError:  # the point lies outside the codec's domain
             w = None
         yield _value_row({"n": n, "word": None if w is None else list(w.letters)},
                          cur, w, args.decimal)
-        if n < args.steps:
-            cur = after if n == 0 else step(cur)
 
 
 # --------------------------------------------------------------------- tree

@@ -23,8 +23,6 @@ from fractions import Fraction
 
 from .words import FiniteWord, TailWord
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""

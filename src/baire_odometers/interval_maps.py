@@ -22,12 +22,12 @@ instances agree with the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .codecs import cf_decode, cf_encode
+from .codecs import cf_encode
 from .word_actions import Policy, step as word_step
 from .words import FiniteWord
 
@@ -173,7 +173,7 @@ class CmiMap:
     """A countable family of monotone branches covering an interval.
 
     ``digit`` returns the branch index of a point (an integer >= floor) or
-    None at the terminal point where coding stops; ``step`` is the forward
+    None at the terminal point 0, where coding stops; ``step`` is the forward
     map; ``branch_inverse(a, y)`` is the inverse of the branch with index a,
     so branch_inverse(digit(x), step(x)) = x away from the terminal point.
     ``policy`` fixes the length-1 convention of the induced word action.
@@ -184,7 +184,6 @@ class CmiMap:
     step: Callable[[Fraction], Fraction]
     digit: Callable[[Fraction], int | None]
     branch_inverse: Callable[[int, Fraction], Fraction]
-    terminal: Fraction = field(default_factory=lambda: Fraction(0))
 
 
 def cmi_odometer(cmi: CmiMap, x: Fraction, depth_limit: int) -> Fraction:
@@ -202,7 +201,7 @@ def cmi_odometer(cmi: CmiMap, x: Fraction, depth_limit: int) -> Fraction:
         succ = FiniteWord(cmi.floor, (cmi.floor,))
     else:
         raise ValueError("terminal point has no successor under this policy")
-    value = cmi.terminal
+    value = Fraction(0)
     for a in reversed(succ.letters):
         value = cmi.branch_inverse(a, value)
     return value

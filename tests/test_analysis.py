@@ -9,13 +9,11 @@ from baire_odometers import analysis, codecs
 from baire_odometers.analysis import (
     _STERN_LEAF,
     SUITES,
-    audit_enumeration,
     bfs_oracle,
     distribution_test,
     enumerate_coded,
     enumerate_rationals,
     frequency_test,
-    multiplicity_audit,
     stern,
     stern_oracle,
 )
@@ -23,7 +21,7 @@ from baire_odometers.codecs import BCF_ZERO, SYSTEMS, cf_decode, system
 from baire_odometers.interval_maps import question_mark, renyi_odometer
 from baire_odometers.odometers import dyadic_step
 from baire_odometers.word_actions import Policy, orbit
-from baire_odometers.words import tail, word
+from baire_odometers.words import tail, total_index, word
 
 
 def distribution_test_by_sort(count, grid, reference="minkowski"):
@@ -132,9 +130,13 @@ class TestEnumerateCoded:
     def test_pairs_are_codec_pairs(self, name, offset):
         _, encode, decode = system(name)
         count = 0
+        prev = None
         for w, x in enumerate_coded(name, 1 << 12, offset):
             assert decode(w) == x
             assert encode(x) == w
+            index = -1 if w == BCF_ZERO else total_index(w)
+            assert prev is None or index > prev
+            prev = index
             count += 1
         assert count == 1 << 12
 
@@ -180,23 +182,15 @@ class TestOracles:
 
 
 class TestAudits:
-    def test_enumerations_pass(self):
-        for system in ("cf", "bcf", "dyadic"):
-            report = audit_enumeration(system, 1000)
-            assert report.ok, report
-            assert report.first_collision is None
-            assert report.order_violation is None
-
     def test_subtree_cf_orbit_has_no_duplicates(self):
-        report = audit_enumeration("cf", 1 << 14)
-        assert report.ok
+        values = list(enumerate_rationals("cf", 1 << 14))
+        assert len(set(values)) == len(values) == 1 << 14
 
     def test_multiplicity_structure(self):
-        report = multiplicity_audit((1 << 6) - 3)
-        assert report.ok
-        assert report.levels == 6
-        # levels 2..6 hold 2^(s-2) values each, plus the once-seen 1/2
-        assert report.distinct == sum(1 << (s - 2) for s in range(3, 7)) + 1
+        name, ok, detail = SUITES["counting"](6)[1]
+        assert ok, (name, detail)
+        # levels 2..6 hold 2^(s-2) values each, plus the once-seen 1
+        assert detail == f"{sum(1 << (s - 2) for s in range(2, 7)) + 1} values"
 
     def test_multiplicity_twins_worked_example(self):
         walk = list(orbit(word((2,)), Policy.TOPDOWN, (1 << 4) - 3))
@@ -206,10 +200,6 @@ class TestAudits:
         assert [walk[n] for n in one_third] == [word((2, 1)), word((3,))]
         assert two_thirds[1] - two_thirds[0] == 2
         assert one_third[1] - one_third[0] == 2
-
-    def test_multiplicity_count_validation(self):
-        with pytest.raises(ValueError):
-            multiplicity_audit(10)
 
 
 class TestDistribution:
@@ -258,7 +248,7 @@ class TestFrequencies:
         assert ones == 1 << 7
 
 
-# One fault per check: (suite, check index, module, function the check covers,
+# At least one fault per check: (suite, check index, module, function the check covers,
 # fires(i, *args) on the i-th call (from 0), wrong(result, *args) returned then,
 # text(seen, i, result) the FAIL line must hold, from every call's args, the
 # first firing call and its true result).  Run at budget 4.
@@ -270,6 +260,10 @@ FAULTS = [
      lambda seen, i, r: f", first at w={seen[i][0]} m=0 n=0"),
     ("counting", 0, analysis, "total_index", lambda i, w: i >= 2, lambda r, w: r + 1,
      lambda seen, i, r: f"words (sums <= 4), first at n=2 prev={seen[1][0]} w={seen[2][0]}"),
+    ("counting", 1, analysis, "cf_decode", lambda i, w: i == 2, lambda r, w: Fraction(1),
+     lambda seen, i, r: "8 values, first at x=1 at=[0, 2]"),
+    ("counting", 1, analysis, "cf_decode", lambda i, w: i == 3, lambda r, w: Fraction(1, 2),
+     lambda seen, i, r: "8 values, first at x=1/2 at=[1, 2, 3]"),
     ("oracles", 0, analysis, "gauss_odometer", lambda i, x: x.denominator == 7,
      lambda r, x: x, lambda seen, i, r: "q <= 68, 6 mismatches, first at x=1/7"),
     ("oracles", 1, analysis, "renyi_odometer", lambda i, x: x.denominator == 7,

@@ -421,6 +421,21 @@ class TestVerify:
         assert len(fails) == 2 and fails[0] == fails[1]
         assert fails[0].startswith("FAIL [renorm]") and ", first at w=" in fails[0]
 
+    def test_a_check_that_raises_fails_and_the_run_goes_on(self, capsys, monkeypatch):
+        real = analysis.gauss_odometer
+
+        def faulty(x, *args):  # leaves (0, 1] at 1/4, so the next step raises
+            return x + 1 if x == Fraction(1, 4) else real(x, *args)
+
+        monkeypatch.setattr(analysis, "gauss_odometer", faulty)
+        code, out, err = run(capsys, "verify", "--suite", "all", "--budget", "4")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert len(lines) == 16 and lines[-1].startswith("ok   [distribution]")
+        assert [line for line in lines if line.startswith("FAIL [periods]")] == [
+            "FAIL [periods] gauss odometer periods are exactly 2^(digit sum - 2): "
+            "levels 2..4, first at s=4 (ValueError: 5/4 outside (0, 1])"]
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -446,9 +461,9 @@ class TestUsage:
         (["orbit", "--map", "OG", "--start", "1/3", "--steps", "1", "--decimal", "0"],
          "--decimal: must be >= 1"),
         (["orbit", "--map", "OGk", "--k", "0", "--start", "1/3", "--steps", "1"],
-         "--k must be >= 1 for OGk"),
+         "need k >= 1"),
         (["orbit", "--map", "OGk", "--k", "-2", "--start", "1/3", "--steps", "1"],
-         "--k must be >= 1 for OGk"),
+         "need k >= 1"),
         (["tree", "--floor", "1", "--levels", "0"], "--levels: must be >= 1"),
         (["tree", "--floor", "1", "--levels", "-2"], "--levels: must be >= 1"),
         (["tree", "--floor", "1", "--levels", "2", "--decimal", "0"], "--decimal: must be >= 1"),
@@ -466,6 +481,9 @@ class TestUsage:
         ["enumerate", "--system", "cf", "--offset", "zero", "--count", "3", "--format", "csv"],
         ["orbit", "--map", "O", "--start", "1,0", "--steps", "2", "--format", "csv"],
         ["orbit", "--map", "OGk", "--k", "0", "--start", "1/3", "--steps", "1", "--format", "csv"],
+        ["orbit", "--map", "O", "--start", "2;0", "--steps", "0"],
+        ["orbit", "--map", "O", "--start", "2;0", "--steps", "2"],
+        ["orbit", "--map", "O0", "--start", "1;x", "--steps", "2"],
     ])
     def test_error_before_first_row_prints_nothing(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -529,7 +547,7 @@ GOLDEN = [
     ("enumerate --system bcf --count 5000 --offset root --format json", 5000, "8234b7bb9bf59a5f"),
     ("enumerate --system bcf --count 5000 --offset root --format csv", 5001, "c5b2407f3c65314c"),
     ("enumerate --system cf --count 5000 --decimal 20", 5000, "a60a20c6d08b8e99"),
-    ("verify --suite all --budget 8", 15, "96d9aee4044b09ff"),
+    ("verify --suite all --budget 8", 16, "2d561f1f0542ce5d"),
 ]
 
 
