@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .interval_maps import (
 )
 from .odometers import baire_step, dyadic_step
 from .trees import locate, subtree_level
-from .word_actions import Policy, orbit as word_orbit
+from .word_actions import Policy, orbit as word_orbit, step as word_step
 from .words import FiniteWord, TailWord
 
 ERROR_WIDTH = 200  # an error line longer than this is cut short
@@ -67,44 +68,61 @@ def _value_text(x: Fraction, bits: int | None) -> str:
     return _decimal_string(x, bits) if bits else str(x)
 
 
-Row = tuple[dict, str, object]  # (json record, plain line, csv word cell)
+# (n, word or None, value or None); a tree row's n is its (level, position)
+Row = tuple[object, object, "Fraction | None"]
+
+CHUNK_ROWS = 256  # rows rendered per write to stdout
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _emit(rows: Iterable[Row], fmt: str) -> int:
-    """Write each row in one format and return exit code 0.  The csv cell goes
-    through str(), None as an empty cell.  Nothing is written before the first
-    row exists, so an input error raised while building it leaves stdout empty."""
-    if fmt == "json":
-        for record, _, _ in rows:
-            print(json.dumps(record, separators=(",", ":")))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        for n, (record, _, cell) in enumerate(rows):
-            if n == 0:
-                writer.writerow(["n", "word", "value"])
-            writer.writerow([record["n"], cell, record.get("value", "")])
+def _emit(rows: Iterable[Row], fmt: str, record: Callable[[object, object], dict],
+          bits: int | None = None) -> int:
+    """Write each row in one format and return exit code 0.
+
+    Each format renders only what it prints: plain the value (exact, or a
+    decimal with --decimal) or else the word; csv n, the word (empty for None)
+    and the exact value; json record(n, word) plus the exact value and the
+    decimal.  Rows reach stdout CHUNK_ROWS at a time, and the pending ones are
+    written in a finally: an error raised while building a row leaves every
+    earlier row on stdout, and stdout empty if it is the first."""
+    buf = io.StringIO()
+    if fmt == "plain":
+        def render(n, w, x):
+            buf.write(f"{w}\n" if x is None else f"{_value_text(x, bits)}\n")
+    elif fmt == "json":
+        def render(n, w, x):
+            fields = record(n, w)
+            if x is not None:
+                fields["value"] = format_rational(x)
+                if bits:
+                    fields["decimal"] = _decimal_string(x, bits)
+            buf.write(f"{_to_json(fields)}\n")
     else:
-        for _, line, _ in rows:
-            print(line)
+        writer = csv.writer(buf)
+
+        def render(n, w, x):  # the csv module writes None as an empty cell
+            writer.writerow([n, w, None if x is None else format_rational(x)])
+    try:
+        for i, row in enumerate(rows, 1):
+            if i == 1 and fmt == "csv":
+                writer.writerow(["n", "word", "value"])
+            render(*row)
+            if i % CHUNK_ROWS == 0:
+                sys.stdout.write(buf.getvalue())
+                buf.seek(0)
+                buf.truncate()
+    finally:
+        sys.stdout.write(buf.getvalue())
     return 0
-
-
-def _value_row(record: dict, x: Fraction, w, bits: int | None) -> Row:
-    """A row of a rational stream: the record gains the exact value (and the
-    decimal); w, the value's codec word or None, is the csv cell."""
-    record["value"] = format_rational(x)
-    line = _value_text(x, bits)
-    if bits:
-        record["decimal"] = line
-    return record, line, w
 
 
 # ---------------------------------------------------------------- enumerate
 
-def _enumerate_rows(args) -> Iterator[Row]:
+def _cmd_enumerate(args) -> int:
     floor = system(args.system)[0]
-    for n, (w, x) in enumerate(analysis.enumerate_coded(args.system, args.count, args.offset)):
-        yield _value_row({"n": n, "word": list(w.letters), "floor": floor}, x, w, args.decimal)
+    pairs = analysis.enumerate_coded(args.system, args.count, args.offset)
+    return _emit(((n, w, x) for n, (w, x) in enumerate(pairs)), args.format,
+                 lambda n, w: {"n": n, "word": list(w.letters), "floor": floor}, args.decimal)
 
 
 # -------------------------------------------------------------------- orbit
@@ -115,8 +133,19 @@ RATIONAL_MAPS = {"OG": "cf", "OR": "bcf", "OGk": "cf", "gauss": "cf", "renyi": "
                  "interval-dyadic": "dyadic"}
 
 
-def _orbit_rows(args) -> Iterator[Row]:
-    return _value_orbit_rows(args) if args.map in RATIONAL_MAPS else _word_orbit_rows(args)
+def _cmd_orbit(args) -> int:
+    if args.map in RATIONAL_MAPS:
+        return _emit(_value_orbit_rows(args), args.format,
+                     lambda n, w: {"n": n, "word": None if w is None else list(w.letters)},
+                     args.decimal)
+    return _emit(_word_orbit_rows(args), args.format, _word_record)
+
+
+def _word_record(n: int, w) -> dict:
+    if isinstance(w, TailWord):
+        return {"n": n, "word": {"pre": list(w.preperiod), "per": list(w.period),
+                                 "floor": w.floor}}
+    return {"n": n, "word": list(w.letters), "floor": w.floor}
 
 
 def _states(step: Callable, start, steps: int) -> Iterator:
@@ -135,17 +164,12 @@ def _word_orbit_rows(args) -> Iterator[Row]:
     if ";" not in args.start:
         if args.map == "O":
             raise ValueError("map O acts on infinite binary words; use the pre;per syntax")
-        start = parse_word(args.start, k)
-        for n, cur in enumerate(word_orbit(start, Policy(args.policy), args.steps + 1)):
-            text = str(cur)
-            yield {"n": n, "word": list(cur.letters), "floor": cur.floor}, text, text
-        return
-    start = parse_tailword(args.start, 0 if args.map == "O" else k)
-    step = dyadic_step if args.map == "O" else baire_step
-    for n, cur in enumerate(_states(step, start, args.steps)):
-        text = str(cur)
-        word = {"pre": list(cur.preperiod), "per": list(cur.period), "floor": cur.floor}
-        yield {"n": n, "word": word}, text, text
+        words = word_orbit(parse_word(args.start, k), Policy(args.policy), args.steps + 1)
+    else:
+        start = parse_tailword(args.start, 0 if args.map == "O" else k)
+        words = _states(dyadic_step if args.map == "O" else baire_step, start, args.steps)
+    for n, w in enumerate(words):
+        yield n, w, None
 
 
 def _value_orbit_rows(args) -> Iterator[Row]:
@@ -159,14 +183,21 @@ def _value_orbit_rows(args) -> Iterator[Row]:
         "renyi": renyi,
         "interval-dyadic": dyadic_interval_step,
     }[args.map]
+    states = _states(step, parse_rational(args.start), args.steps)
+    if args.format == "plain":  # no word is printed, so none is encoded
+        for n, x in enumerate(states):
+            yield n, None, x
+        return
     _, encode, _ = system(RATIONAL_MAPS[args.map])
-    for n, cur in enumerate(_states(step, parse_rational(args.start), args.steps)):
-        try:
-            w = encode(cur)
-        except ValueError:  # the point lies outside the codec's domain
-            w = None
-        yield _value_row({"n": n, "word": None if w is None else list(w.letters)},
-                         cur, w, args.decimal)
+    for n, x in enumerate(states):
+        if args.map == "OR" and n:  # OR is the top-down step on bcf words, taking 0 to (2)
+            w = FiniteWord(2, (2,)) if w is BCF_ZERO else word_step(w, Policy.TOPDOWN)
+        else:
+            try:
+                w = encode(x)
+            except ValueError:  # the point lies outside the codec's domain
+                w = None
+        yield n, w, x
 
 
 # --------------------------------------------------------------------- tree
@@ -174,23 +205,26 @@ def _value_orbit_rows(args) -> Iterator[Row]:
 def _cmd_tree(args) -> int:
     root = parse_word(args.root, args.floor) if args.root else FiniteWord(args.floor, (args.floor,))
     decode = system(args.values)[2] if args.values else None
-    at = locate(root)
-    for depth in range(1, args.levels + 1):
-        level = subtree_level(root, depth, args.mirror)
-        if args.format == "plain":
+    if args.format == "plain":
+        for depth in range(1, args.levels + 1):
             print(" ".join(_value_text(decode(w), args.decimal) if decode else str(w)
-                           for w in level))
-            continue
+                           for w in subtree_level(root, depth, args.mirror)))
+        return 0
+    return _emit(_tree_rows(root, args.levels, args.mirror, decode), "json",
+                 lambda at, w: {"level": at[0], "pos": str(at[1]), "word": list(w.letters),
+                                "floor": w.floor},
+                 args.decimal)
+
+
+def _tree_rows(root: FiniteWord, levels: int, mirror: bool, decode) -> Iterator[Row]:
+    at = locate(root)
+    for depth in range(1, levels + 1):
+        level = subtree_level(root, depth, mirror)
         # row q of this depth sits at (at.level + depth - 1, (at.position << (depth - 1)) + q)
         base = at.position << (depth - 1)
         positions = range(base, base + len(level))
-        for w, position in zip(level, reversed(positions) if args.mirror else positions):
-            row = {"level": at.level + depth - 1, "pos": str(position), "word": list(w.letters),
-                   "floor": w.floor}
-            if decode:
-                row, _, _ = _value_row(row, decode(w), None, args.decimal)
-            print(json.dumps(row, separators=(",", ":")))
-    return 0
+        for w, position in zip(level, reversed(positions) if mirror else positions):
+            yield (at.level + depth - 1, position), w, decode(w) if decode else None
 
 
 # -------------------------------------------------------------------- codec
@@ -248,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", choices=["root", "zero"], default=None)
     p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
     p.add_argument("--decimal", type=_at_least(1), default=None, metavar="BITS")
-    p.set_defaults(func=lambda args: _emit(_enumerate_rows(args), args.format))
+    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("orbit", help="iterate an odometer or interval map")
     p.add_argument("--map", required=True, choices=[*WORD_MAPS, *RATIONAL_MAPS])
@@ -259,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=["right", "left"], default="right")
     p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
     p.add_argument("--decimal", type=_at_least(1), default=None, metavar="BITS")
-    p.set_defaults(func=lambda args: _emit(_orbit_rows(args), args.format))
+    p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("tree", help="print levels of a word tree")
     p.add_argument("--floor", required=True, type=int)

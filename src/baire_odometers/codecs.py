@@ -26,7 +26,10 @@ from .words import FiniteWord, TailWord
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

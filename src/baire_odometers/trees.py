@@ -2,12 +2,14 @@
 
 Level s holds the 2^(s-1) words of digit sum s in reverse-lexicographic
 order.  Every word has two sons: prepend the floor (left) or increment the
-first letter (right).  The tree is virtual; navigation and level generation
-are arithmetic on words and (level, position) addresses.
+first letter (right).  The tree is virtual; navigation is arithmetic on
+words and (level, position) addresses, and a level is walked left to right
+by the odometer.
 """
 
 from __future__ import annotations
 
+from .word_actions import Policy, orbit
 from .words import FiniteWord, TreeAddress, position_index, sum_k, word_at
 
 
@@ -50,11 +52,13 @@ def address_sons(a: TreeAddress) -> tuple[TreeAddress, TreeAddress]:
 
 
 def subtree_level(root: FiniteWord, depth: int, mirror: bool = False) -> list[FiniteWord]:
-    """Depth-d slice of the descendants of root (depth 1 is the root itself)."""
+    """Depth-d slice of the descendants of root (depth 1 is the root itself).
+
+    The slice is contiguous in its level, so after its first word, placed
+    with word_at, the odometer steps through the rest one slot at a time."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     at = locate(root)
-    level = at.level + depth - 1
-    base = at.position << (depth - 1)
-    rows = [word_at(level, base + q, root.floor) for q in range(1 << (depth - 1))]
+    first = word_at(at.level + depth - 1, at.position << (depth - 1), root.floor)
+    rows = list(orbit(first, Policy.CYCLIC, 1 << (depth - 1)))
     return rows[::-1] if mirror else rows

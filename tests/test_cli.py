@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baire_odometers import analysis
+from baire_odometers import analysis, cli
 from baire_odometers.cli import main
 from baire_odometers.interval_maps import gauss_odometer
 from baire_odometers.trees import locate
@@ -211,6 +211,24 @@ class TestOrbit:
         want = gauss_odometer(Fraction(1, 30000))
         sys.set_int_max_str_digits(0)  # the fixture restores it
         assert (int(p), int(q)) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_error_mid_stream_keeps_the_rows_before_it(self, capsys, monkeypatch, fmt):
+        calls = 0
+
+        def faulty(x, *args):  # call n computes row n
+            nonlocal calls
+            calls += 1
+            if calls == 1000:
+                raise ValueError("injected at row 1000")
+            return gauss_odometer(x, *args)
+
+        monkeypatch.setattr(cli, "gauss_odometer", faulty)
+        code, out, err = run(capsys, "orbit", "--map", "OG", "--start", "3/5", "--steps", "1500",
+                             "--format", fmt)
+        assert code == 2
+        assert len(out.splitlines()) == 1000 and out.endswith("\n")
+        assert err == "error: injected at row 1000\n"
 
     def test_long_error_line_is_bounded(self, capsys, digit_limit):
         # the 401-digit start lies outside (0, 1]: rejected before its row
@@ -469,6 +487,9 @@ class TestUsage:
         (["tree", "--floor", "1", "--levels", "2", "--decimal", "0"], "--decimal: must be >= 1"),
         (["verify", "--suite", "counting", "--budget", "-4"], "--budget: must be >= 0"),
         (["enumerate", "--system", "cf", "--count", "x"], "invalid int value"),
+        (["codec", "--from", "cf", "--to", "word", "1/0"], "zero denominator in '1/0'"),
+        (["orbit", "--map", "OG", "--start", "1/0", "--steps", "1"],
+         "zero denominator in '1/0'"),
     ])
     def test_out_of_range_input_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -503,7 +524,7 @@ class TestUsage:
 
 # Line count and sha256 prefix of stdout for commands whose output is pinned:
 # every command, format, --decimal, --mirror, tail-word orbits and the bcf
-# word of 0.
+# word of 0; the last five are long streams, over a thousand rows or 29 kB.
 GOLDEN = [
     ("enumerate --system cf --count 40", 40, "8833d8d6bf7797e8"),
     ("enumerate --system bcf --count 40 --format json", 40, "6069569b10c3ad09"),
@@ -548,6 +569,11 @@ GOLDEN = [
     ("enumerate --system bcf --count 5000 --offset root --format csv", 5001, "c5b2407f3c65314c"),
     ("enumerate --system cf --count 5000 --decimal 20", 5000, "a60a20c6d08b8e99"),
     ("verify --suite all --budget 8", 16, "2d561f1f0542ce5d"),
+    ("orbit --map OR --start 41/97 --steps 1500", 1501, "4926ad3f4fbedb44"),
+    ("orbit --map OG --start 3/5 --steps 1500 --format json", 1501, "d9bcc77c6efbf145"),
+    ("orbit --map O0 --start 0,1,2,0,3 --steps 1500", 1501, "ef4db2e9d2bd610e"),
+    ("tree --floor 1 --levels 12 --root 1,2 --values cf", 12, "d5be576fb087ff79"),
+    ("tree --floor 2 --levels 10 --root 2,3 --values bcf --format json", 1023, "5542edb0bf49d65e"),
 ]
 
 

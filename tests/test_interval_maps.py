@@ -294,6 +294,13 @@ class TestRenyiOdometer:
         for x in reduced_fractions(399, include_zero=True):
             assert renyi_odometer(x) == renyi_odometer_by_fractions(x)
 
+    def test_is_the_topdown_step_on_bcf_words(self):
+        # every reduced p/q of [0, 1) with q < 300; the bcf word of 0 steps to (2)
+        for x in reduced_fractions(299, include_zero=True):
+            w = bcf_encode(x)
+            stepped = FiniteWord(2, (2,)) if w is BCF_ZERO else word_step(w, Policy.TOPDOWN)
+            assert bcf_encode(renyi_odometer(x)) == stepped
+
 
 class TestKGaussOdometer:
     def test_low_branch_formula(self):

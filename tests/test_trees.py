@@ -138,6 +138,23 @@ class TestSubtreeLevel:
         with pytest.raises(ValueError):
             subtree_level(word((1,)), 0)
 
+    @pytest.mark.parametrize("floor, roots", [
+        (0, [(0,), (1,), (0, 1), (2, 0, 1), (1, 0, 0, 3)]),
+        (1, [(1,), (2,), (1, 2), (2, 1, 3), (4, 1, 1)]),
+        (2, [(2,), (3,), (2, 3), (3, 2, 2), (5, 2)]),
+    ])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_matches_word_at_per_slot(self, floor, roots, mirror):
+        # the per-slot loop the odometer walk replaced
+        for letters in roots:
+            root = FiniteWord(floor, letters)
+            at = locate(root)
+            for depth in range(1, 12):
+                base = at.position << (depth - 1)
+                slots = [word_at(at.level + depth - 1, base + q, floor)
+                         for q in range(1 << (depth - 1))]
+                assert subtree_level(root, depth, mirror) == (slots[::-1] if mirror else slots)
+
 
 class TestTwinPositions:
     def test_twin_sits_half_level_earlier(self):
