@@ -13,6 +13,12 @@ Three numeration systems pair finite words with rationals:
   floor 0 code the maximal 1-runs between 0s, the last letter coding the
   trailing run of 1s.
 
+Both fraction systems encode by one Euclid routine, a recursive half-gcd
+that is quasi-linear in the bit length: cf_encode(p/q) is Euclid on (q, p),
+and bcf_encode(p/q) rewrites the cf digits (c1, ..., cn) of 1 - p/q, Euclid
+on (q, q - p): an odd-index ci becomes the letter ci + 2 (less 1 if i = 1,
+less 1 if i = n), an even-index ci becomes ci - 1 letters 2.
+
 All arithmetic is exact; nothing in this module touches floating point.
 """
 
@@ -67,19 +73,104 @@ def system(name: str) -> tuple:
 
 
 def cf_encode(x: Fraction) -> FiniteWord:
-    """Continued-fraction digits of x in (0, 1], by the Euclidean algorithm.
+    """Continued-fraction digits of x in (0, 1]: the Euclid quotients of
+    (denominator, numerator), from _euclid.
 
     The result is canonical: it never ends in 1, except for cf_encode(1) = (1).
     """
     if not 0 < x <= 1:
         raise ValueError(f"{x} outside (0, 1]")
-    digits = []
-    p, q = x.numerator, x.denominator
-    while p:
-        a, r = divmod(q, p)
-        digits.append(a)
-        p, q = r, p
-    return FiniteWord(1, tuple(digits))
+    return FiniteWord._canonical(1, tuple(_euclid(x.denominator, x.numerator)))
+
+
+_EUCLID_LEAF = 1280  # bits: _half_gcd runs the plain loop up to this size, _euclid up to twice it
+
+
+def _euclid(a: int, b: int) -> list[int]:
+    """The quotients of Euclid's algorithm on a >= b > 0, in order: the
+    continued-fraction digits of b/a, the last one >= 2 unless a == b.
+
+    A pair of at most 2 * _EUCLID_LEAF bits runs one divmod per digit (a
+    shorter one would gain nothing from a cut whose top half is a leaf).  A
+    longer one is first cut to about half its bits by _half_gcd, and the loop
+    repeats on what remains; one plain step after each cut keeps the loop
+    moving when the next quotient is giant.
+    """
+    digits: list[int] = []
+    while b and a.bit_length() > 2 * _EUCLID_LEAF:
+        *_, a, b = _half_gcd(a, b, digits)
+        if b:
+            q, r = divmod(a, b)
+            digits.append(q)
+            a, b = b, r
+    while b:
+        q, r = divmod(a, b)
+        digits.append(q)
+        a, b = b, r
+    return digits
+
+
+def _half_gcd(a: int, b: int, digits: list[int]) -> tuple[int, int, int, int, int, int]:
+    """Run Euclid on a >= b >= 0 until b < 2^h, h = ceil(bits(a)/2), appending
+    the quotients to digits (above the leaf it may stop a few digits short).
+    Returns (A, B, C, D, a', b') with a' > b' >= 0 the last pair and
+    (a, b) = [[A, B], [C, D]] (a', b').
+
+    Schoenhage's recursion (Thull and Yap, 1990; Moeller, 2008): the
+    quotients of the top bits of a pair are, all but the last few, those of
+    the pair itself.  So the top half of (a, b) is halved recursively, the
+    inverse of its digit matrix is applied to the full pair (_reduce), one
+    plain step follows, and the top of what remains is halved the same way.
+    Each recursion works on half the bits, so the cost is that of a few
+    multiplications per level instead of one full-size divmod per digit.  A
+    pair of at most _EUCLID_LEAF bits runs the plain loop and multiplies its
+    digit matrices out afterwards.
+    """
+    n = a.bit_length()
+    h = (n + 1) // 2
+    start = len(digits)
+    if n <= _EUCLID_LEAF:
+        while b >> h:
+            q, r = divmod(a, b)
+            digits.append(q)
+            a, b = b, r
+        return *_letter_product(tuple(digits[start:]), 1), a, b
+    A, B, C, D = 1, 0, 0, 1
+    if b >> h:
+        A, B, C, D, a, b = _reduce(a, b, h, digits)
+    if b >> h:
+        q, r = divmod(a, b)
+        digits.append(q)
+        a, b = b, r
+        A, B, C, D = A * q + B, A, C * q + D, C
+        shift = 2 * h - a.bit_length()
+        if b >> h and shift > 0:
+            m00, m01, m10, m11, a, b = _reduce(a, b, shift, digits)
+            A, B, C, D = (A * m00 + B * m10, A * m01 + B * m11,
+                          C * m00 + D * m10, C * m01 + D * m11)
+    return A, B, C, D, a, b
+
+
+def _reduce(a: int, b: int, shift: int, digits: list[int]) -> tuple[int, int, int, int, int, int]:
+    """_half_gcd on the top bits (a >> shift, b >> shift), carried over to
+    the full pair a >= b >= 0.  The inverse of the digit matrix [[A, B], [C, D]]
+    (determinant (-1)^k for k digits) maps (a, b) to the remainder pair; while
+    that pair is not a > b >= 0, or ends at b = 0 after a digit 1 (the pair
+    before it had a == b), the last digit is wrong for the full pair and is
+    backed off.  A pair that passes proves every digit before it: each pair
+    (q a + b, a) with a > b >= 0 and q >= 1 has the Euclid quotient q.
+    """
+    start = len(digits)
+    A, B, C, D, _, _ = _half_gcd(a >> shift, b >> shift, digits)
+    if (len(digits) - start) & 1:
+        a, b = B * b - D * a, C * a - A * b
+    else:
+        a, b = D * a - B * b, A * b - C * a
+    while len(digits) > start and (b < 0 or b >= a or not b and digits[-1] == 1):
+        q = digits.pop()
+        a, b = q * a + b, a
+        A, B, C, D = B, A - q * B, D, C - q * D
+    return A, B, C, D, a, b
 
 
 _LEAF = 32  # runs up to this length are multiplied out letter by letter (16-64 time the same)
@@ -140,26 +231,29 @@ def is_canonical_cf(w: FiniteWord) -> bool:
 def bcf_encode(x: Fraction) -> BcfWord:
     """Backward continued-fraction digits of x in [0, 1); all digits >= 2.
 
-    Digits come from the engine E = 1/(1-x): emit E and stop when E is an
-    integer, else emit floor(E)+1 and recurse on the fractional part of E
-    (one backward-map step).  Denominators strictly decrease, so the loop
-    terminates for every rational.
+    Read off the continued-fraction digits (c1, ..., cn) of 1 - x, which are
+    Euclid on (q, q - p) for x = p/q: an odd-index ci becomes the letter
+    ci + 2, less 1 if i = 1 and less 1 if i = n; an even-index ci becomes
+    ci - 1 letters 2.  This is the engine E = 1/(1 - x) = a1 - 1/(a2 - ...)
+    rewritten as c1 + 1/(c2 + ...): k letters 2 between a and b give
+    a - 1/(2 - ... - 1/(2 - 1/b)) = (a - 1) + 1/(k + 1 + 1/(b - 1)).
+    0 is BCF_ZERO.
     """
     if not 0 <= x < 1:
         raise ValueError(f"{x} outside [0, 1)")
     if x == 0:
         return BCF_ZERO
-    digits = []
-    p, q = x.numerator, x.denominator
-    while True:
-        # E = q/(q-p) with 0 < p < q
-        d = q - p
-        a, r = divmod(q, d)
-        if r == 0:
-            digits.append(a)
-            return FiniteWord(2, tuple(digits))
-        digits.append(a + 1)
-        p, q = r, d
+    q = x.denominator
+    c = _euclid(q, q - x.numerator)
+    letters = []
+    for i in range(0, len(c), 2):
+        letters.append(c[i] + 2)
+        if i + 1 < len(c):
+            letters += [2] * (c[i + 1] - 1)
+    letters[0] -= 1
+    if len(c) & 1:
+        letters[-1] -= 1
+    return FiniteWord._canonical(2, tuple(letters))
 
 
 def bcf_decode(w: BcfWord) -> Fraction:

@@ -25,11 +25,12 @@ class FiniteWord:
     """Nonempty tuple of integer letters, each >= floor.
 
     The public constructor validates (floor >= 0, letters nonempty and >=
-    floor).  Maps whose results provably satisfy this (the word action
-    ``word_actions.step`` and ``word_at``) build them with the internal
-    ``FiniteWord._canonical(floor, letters)`` instead, which skips the
-    checks.  Its inputs are not checked: a caller that breaks the
-    precondition gets an invalid word.
+    floor).  Maps whose results provably satisfy this build them with the
+    internal ``FiniteWord._canonical(floor, letters)`` instead, which skips
+    the checks: the word action ``word_actions.step``, ``word_at``, and the
+    encoders ``codecs.cf_encode`` (Euclid quotients are >= 1) and
+    ``codecs.bcf_encode`` (its rewrite emits letters >= 2).  Its inputs are
+    not checked: a caller that breaks the precondition gets an invalid word.
     """
 
     floor: int

@@ -62,6 +62,42 @@ def bcf_decode_by_loop(letters):
     return Fraction(p - q, p)
 
 
+def euclid_by_loop(a, b):
+    """Reference Euclid quotients of a >= b > 0, one full-size divmod per digit."""
+    digits = []
+    while b:
+        q, r = divmod(a, b)
+        digits.append(q)
+        a, b = b, r
+    return digits
+
+
+def cf_encode_by_loop(x):
+    """Reference cf word of x in (0, 1]: the plain Euclid loop on (q, p)."""
+    return FiniteWord(1, tuple(euclid_by_loop(x.denominator, x.numerator)))
+
+
+def bcf_encode_by_engine(x):
+    """Reference bcf word of x in (0, 1) from the engine E = q/(q - p): emit E
+    and stop when it is an integer, else emit floor(E) + 1 and go on with the
+    fractional part of E."""
+    digits = []
+    p, q = x.numerator, x.denominator
+    while True:
+        d = q - p
+        a, r = divmod(q, d)
+        if r == 0:
+            digits.append(a)
+            return FiniteWord(2, tuple(digits))
+        digits.append(a + 1)
+        p, q = r, d
+
+
+def seeded_letters(rng, n, low, high):
+    """n letters in [low, high], the last one >= 2 so that a cf word is canonical."""
+    return tuple(rng.randint(low, high) for _ in range(n - 1)) + (rng.randint(max(low, 2), high),)
+
+
 def decoder_test_lengths():
     """Every length from 1 to 200, each multiple of the leaf length up to 4x and
     its neighbours, and 5000."""
@@ -217,6 +253,125 @@ class TestBcfCodec:
         # letters >= 2 on a lower floor are still not a bcf word
         with pytest.raises(ValueError, match="need letters >= 2"):
             bcf_decode(FiniteWord(floor, (2, 3)))
+
+
+class TestEncodersMatchLoops:
+    """cf_encode (half-gcd Euclid) and bcf_encode (read off the cf digits of
+    1 - x) against the plain loops they replace."""
+
+    def test_every_small_rational(self):
+        for q in range(1, 400):
+            for p in range(1, q + 1):
+                if gcd(p, q) == 1:
+                    x = Fraction(p, q)
+                    assert cf_encode(x) == cf_encode_by_loop(x)
+                    if p < q:
+                        assert bcf_encode(x) == bcf_encode_by_engine(x)
+
+    @pytest.mark.parametrize("n", [1500, 4000, 12000, 30000])
+    def test_long_seeded_words(self, n):
+        rng = random.Random(n)
+        for low, high in ((1, 4), (1, 60)):
+            letters = seeded_letters(rng, n, low, high)
+            x = cf_decode_by_loop(letters)
+            assert cf_encode(x).letters == letters
+            assert cf_encode(x) == cf_encode_by_loop(x)
+        letters = seeded_letters(rng, n, 2, 5)
+        x = bcf_decode_by_loop(letters)
+        assert bcf_encode(x).letters == letters
+        assert bcf_encode(x) == bcf_encode_by_engine(x)
+
+    def test_giant_partial_quotients(self):
+        for letters in ((1, 2**4000 + 1, 3), (2**5000 + 1,), (3, 2**3000, 1, 2**6000 + 7, 2),
+                        (1,) * 700 + (2**9000,) + (1,) * 700 + (2,)):
+            x = cf_decode_by_loop(letters)
+            assert cf_encode(x).letters == letters
+        x = Fraction(1, 2**5000 + 1)
+        assert cf_encode(x) == cf_encode_by_loop(x) == FiniteWord(1, (2**5000 + 1,))
+        # giant odd-index digits of 1 - x are giant bcf letters; an even-index
+        # digit c is a run of c - 1 letters 2, so it stays buildable
+        for digits in ((2**4000 + 1, 3, 2**3000), (1, 2**12 + 1), (5, 2**12, 2**5000 + 3)):
+            x = 1 - cf_decode_by_loop(digits)
+            assert bcf_encode(x) == bcf_encode_by_engine(x)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_constant_words(self, k):
+        # k = 1: Fibonacci ratios, the longest expansion for their size
+        for n in (1, 2, 3, 1000, 4000, 9000):
+            letters = (k,) * n if k > 1 else (1,) * (n - 1) + (2,)
+            x = cf_decode_by_loop(letters)
+            assert cf_encode(x).letters == letters
+            if x < 1:
+                assert bcf_encode(x) == bcf_encode_by_engine(x)
+        for n in (1, 2, 3, 1000, 5000):
+            letters = (k + 1,) * n
+            x = bcf_decode_by_loop(letters)
+            assert bcf_encode(x).letters == letters
+
+    def test_edge_values(self):
+        assert cf_encode(Fraction(1)) == cf_encode_by_loop(Fraction(1)) == FiniteWord(1, (1,))
+        assert cf_encode(Fraction(1, 2)) == FiniteWord(1, (2,))
+        assert bcf_encode(Fraction(1, 2)) == FiniteWord(2, (2,))
+        for q in (3, 4, 5, 10, 2**100, 2**5000 + 3):
+            x = Fraction(q - 1, q)
+            assert cf_encode(x) == cf_encode_by_loop(x) == FiniteWord(1, (1, q - 1))
+            # 1 - x = 1/q has one cf digit: both corrections hit it, q + 2 - 1 - 1
+            assert bcf_encode(x) == bcf_encode_by_engine(x) == FiniteWord(2, (q,))
+
+    def test_two_digit_rewrite(self):
+        # 1 - x = [c1, c2]: the first letter loses 1, the last digit is a run of 2s
+        for c1 in range(1, 6):
+            for c2 in range(2, 6):
+                x = 1 - Fraction(1, c1 + Fraction(1, c2))
+                assert bcf_encode(x) == FiniteWord(2, (c1 + 1,) + (2,) * (c2 - 1))
+
+
+class TestEuclid:
+    """The shared half-gcd routine on pairs of any size, common factors included."""
+
+    def test_bit_lengths_around_the_leaves(self):
+        rng = random.Random(12)
+        leaf = codecs._EUCLID_LEAF
+        for n in sorted({leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1, 4 * leaf + 1}):
+            for _ in range(20):
+                a = rng.getrandbits(n) | 1 << (n - 1)
+                b = rng.randrange(1, a + 1)
+                assert a.bit_length() == n
+                assert codecs._euclid(a, b) == euclid_by_loop(a, b)
+                x = Fraction(b, a)
+                assert cf_encode(x) == cf_encode_by_loop(x)
+                if x < 1:
+                    assert bcf_encode(x) == bcf_encode_by_engine(x)
+
+    def test_common_factor(self):
+        # a pair with a big gcd reaches remainder 0 inside a cut, where a last
+        # digit 1 must be backed off into the canonical last digit
+        rng = random.Random(13)
+        for _ in range(150):
+            letters = seeded_letters(rng, rng.choice((10, 200, 1200)), 1, rng.choice((3, 9)))
+            a, _, b, _ = codecs._letter_product(letters, 1)
+            g = rng.getrandbits(rng.choice((64, 2000, 8000))) | 1
+            assert codecs._euclid(g * a, g * b) == list(letters)
+
+    @pytest.mark.parametrize("leaf", [8, 16, 64])
+    def test_small_leaves(self, monkeypatch, leaf):
+        # a small leaf runs the recursion many levels deep on small pairs
+        monkeypatch.setattr(codecs, "_EUCLID_LEAF", leaf)
+        rng = random.Random(leaf)
+        for _ in range(400):
+            top = rng.choice((2, 4, 50, 2**40))
+            letters = seeded_letters(rng, rng.randrange(1, 120), 1, top)
+            a, _, b, _ = codecs._letter_product(letters, 1)
+            assert codecs._euclid(a, b) == list(letters)
+            g = rng.getrandbits(rng.choice((5, 100, 1000))) | 1
+            assert codecs._euclid(g * a, g * b) == list(letters)
+            assert codecs._euclid(a, a) == [1]
+        for _ in range(400):
+            a = rng.getrandbits(rng.randrange(2, 300)) + 2
+            b = rng.randrange(1, a)
+            assert codecs._euclid(a, b) == euclid_by_loop(a, b)
+            x = Fraction(b, a)
+            assert bcf_encode(x) == bcf_encode_by_engine(x)
 
 
 class TestBcfForms:
