@@ -146,9 +146,21 @@ def distribution_test(count: int, grid: int, reference: str = "minkowski") -> fl
     """
     if reference not in ("minkowski", "uniform"):
         raise ValueError(f"unknown reference {reference!r}")
+    return _ks_distance(_cf_buckets(count, grid), count, reference)
+
+
+def _cf_buckets(count: int, grid: int) -> list[int]:
+    """grid + 1 buckets; bucket i counts the first count cf-enumerated
+    rationals p/q with ceil(p*grid/q) = i."""
     buckets = [0] * (grid + 1)
     for x in enumerate_rationals("cf", count):
         buckets[-(-x.numerator * grid // x.denominator)] += 1
+    return buckets
+
+
+def _ks_distance(buckets: list[int], count: int, reference: str) -> float:
+    """The distance of distribution_test, read off the buckets of _cf_buckets."""
+    grid = len(buckets) - 1
     worst = 0.0
     below = 0
     for i in range(grid + 1):
@@ -206,13 +218,13 @@ def _tally(mismatch: Callable[..., bool], cases: Iterable[dict]) -> tuple[int, i
 
 
 def _check_conjugacy(budget: int) -> list[Check]:
-    rng = random.Random(SEED)
+    rand = random.Random(SEED).randrange
 
     def cases() -> Iterator[dict]:
         for _ in range(10_000):
-            pre = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 10)))
-            per = [rng.randrange(2) for _ in range(rng.randrange(1, 7))]
-            per[rng.randrange(len(per))] = 0  # keep a block boundary in every tail
+            pre = [rand(2) for _ in range(rand(0, 10))]
+            per = [rand(2) for _ in range(rand(1, 7))]
+            per[rand(len(per))] = 0  # keep a block boundary in every tail
             yield {"w": tail(pre, per)}
 
     total, bad, note = _tally(
@@ -347,8 +359,9 @@ def _check_periods(budget: int) -> list[Check]:
 
 def _check_distribution(budget: int) -> list[Check]:
     count = 1 << min(budget + 4, 16)
-    ks = distribution_test(count, 1024)
-    control = distribution_test(count, 1024, "uniform")
+    buckets = _cf_buckets(count, 1024)  # one sample for both references
+    ks = _ks_distance(buckets, count, "minkowski")
+    control = _ks_distance(buckets, count, "uniform")
     freq = frequency_test(0, count)
     worst = max(abs(freq.get(a, 0.0) - 2.0 ** (-a - 1)) for a in range(6))
     return [

@@ -272,21 +272,35 @@ def bcf_decode(w: BcfWord) -> Fraction:
 
 
 def bcf_tail_form(w: BcfWord) -> TailWord:
-    """Infinite form (a1, ..., a_{n-1}, an+1, 2, 2, ...); BCF_ZERO -> all 2s."""
+    """Infinite form (a1, ..., a_{n-1}, an+1, 2, 2, ...); BCF_ZERO -> all 2s.
+
+    Defined on words over a floor >= 2, as bcf_decode is.  The result is
+    canonical as built: the period (2,) is primitive and the preperiod ends
+    in an+1 >= 3, so it is made by the trusted TailWord._canonical.
+    """
     if isinstance(w, _BcfZero):
-        return TailWord(2, (), (2,))
+        return TailWord._canonical(2, (), (2,))
+    if w.floor < 2:
+        raise ValueError("backward continued-fraction words need letters >= 2")
     a = w.letters
-    return TailWord(2, a[:-1] + (a[-1] + 1,), (2,))
+    return TailWord._canonical(2, a[:-1] + (a[-1] + 1,), (2,))
 
 
 def bcf_finite_form(t: TailWord) -> BcfWord:
-    """Inverse of bcf_tail_form on words with an all-2s tail."""
+    """Inverse of bcf_tail_form on words over a floor >= 2 with an all-2s tail.
+
+    A canonical such word has a preperiod that is empty (BCF_ZERO) or ends
+    in a letter >= 3, so the letters of the result are >= 2 and it is made
+    by the trusted FiniteWord._canonical.
+    """
+    if t.floor < 2:
+        raise ValueError("backward continued-fraction words need letters >= 2")
     if t.period != (2,):
         raise ValueError("not an all-2s-tail word")
     pre = t.preperiod
     if not pre:
         return BCF_ZERO
-    return FiniteWord(2, pre[:-1] + (pre[-1] - 1,))
+    return FiniteWord._canonical(2, pre[:-1] + (pre[-1] - 1,))
 
 
 def dyadic_encode(x: Fraction) -> FiniteWord:

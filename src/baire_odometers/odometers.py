@@ -25,12 +25,11 @@ from .words import TailWord, _drop_letters, _require_binary, block_decode, block
 def dyadic_step(w: TailWord) -> TailWord:
     """Add 1 with carry on a binary word."""
     _require_binary(w)
-    if w.period == (1,):
-        if all(a == 1 for a in w.preperiod):
+    head = w.preperiod
+    if 0 not in head:  # the carry runs on into the period
+        if w.period == (1,):
             return TailWord._canonical(0, (), (0,))
-        head = w.preperiod
-    else:
-        head = w.preperiod + w.period  # guaranteed to contain a 0
+        head += w.period  # a primitive binary period other than (1,) holds a 0
     i = head.index(0)
     return TailWord._canonical(0, (0,) * i + (1,) + head[i + 1:], w.period)
 
@@ -93,6 +92,8 @@ def renormalization_exponent(w: TailWord, m: int, n: int) -> int:
 
 def _relabel(w: TailWord, delta: int) -> TailWord:
     # add delta to the floor and to every letter, a bijection between alphabets
+    if not delta:
+        return w
     return TailWord._canonical(w.floor + delta, tuple(a + delta for a in w.preperiod),
                                tuple(a + delta for a in w.period))
 

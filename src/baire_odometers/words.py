@@ -27,10 +27,12 @@ class FiniteWord:
     The public constructor validates (floor >= 0, letters nonempty and >=
     floor).  Maps whose results provably satisfy this build them with the
     internal ``FiniteWord._canonical(floor, letters)`` instead, which skips
-    the checks: the word action ``word_actions.step``, ``word_at``, and the
+    the checks: the word action ``word_actions.step``, ``word_at``, the
     encoders ``codecs.cf_encode`` (Euclid quotients are >= 1) and
-    ``codecs.bcf_encode`` (its rewrite emits letters >= 2).  Its inputs are
-    not checked: a caller that breaks the precondition gets an invalid word.
+    ``codecs.bcf_encode`` (its rewrite emits letters >= 2), and
+    ``codecs.bcf_finite_form`` (a canonical all-2s tail word's preperiod
+    ends in a letter >= 3, which it lowers by 1).  Its inputs are not
+    checked: a caller that breaks the precondition gets an invalid word.
     """
 
     floor: int
@@ -41,7 +43,7 @@ class FiniteWord:
             raise ValueError("floor must be >= 0")
         if not self.letters:
             raise ValueError("letters must be nonempty")
-        if any(a < self.floor for a in self.letters):
+        if min(self.letters) < self.floor:
             raise ValueError(f"letters {self.letters} below floor {self.floor}")
 
     @classmethod
@@ -92,8 +94,8 @@ class TailWord:
     The public constructor validates (floor >= 0, nonempty period, letters >=
     floor) and normalizes every input.  Maps that provably keep the letters
     >= floor and the period nonempty and primitive (baire_step, dyadic_step,
-    drop_front, fast_forward, baire_fast_forward and the block codec) build
-    their results with the internal ``TailWord._canonical(floor, pre, per)``
+    drop_front, fast_forward, baire_fast_forward, the block codec and
+    codecs.bcf_tail_form, whose period is (2,)) build their results with the internal ``TailWord._canonical(floor, pre, per)``
     instead, which skips validation and the period reduction and only
     shortens the preperiod.  Its inputs are not checked: a caller that breaks
     the precondition gets a non-canonical word.
@@ -108,7 +110,7 @@ class TailWord:
             raise ValueError("floor must be >= 0")
         if not self.period:
             raise ValueError("period must be nonempty")
-        if any(a < self.floor for a in self.preperiod + self.period):
+        if min(self.preperiod + self.period) < self.floor:
             raise ValueError("letters below floor")
         pre, per = _absorb(self.preperiod, _primitive(self.period))
         object.__setattr__(self, "preperiod", pre)
@@ -312,5 +314,5 @@ def _runs(bits: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _require_binary(w: TailWord) -> None:
-    if any(a not in (0, 1) for a in w.preperiod + w.period):
+    if not {*w.preperiod, *w.period} <= {0, 1}:
         raise ValueError("word is not binary")

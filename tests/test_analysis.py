@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from hashlib import sha256
 from itertools import islice
 
 import pytest
@@ -14,6 +15,7 @@ from baire_odometers.analysis import (
     enumerate_coded,
     enumerate_rationals,
     frequency_test,
+    run_suite,
     stern,
     stern_oracle,
 )
@@ -284,8 +286,8 @@ FAULTS = [
      lambda r, x: x, lambda seen, i, r: "levels 2..4, first at s=3"),
     ("distribution", 0, analysis, "question_mark", lambda i, *args: True,
      lambda r, x, *args: x, lambda seen, i, r: " over 256 samples"),
-    ("distribution", 1, analysis, "distribution_test",
-     lambda i, count, grid, reference="minkowski": reference == "uniform",
+    ("distribution", 1, analysis, "_ks_distance",
+     lambda i, buckets, count, reference: reference == "uniform",
      lambda r, *args: 0.0, lambda seen, i, r: "KS 0.00000"),
     ("distribution", 2, analysis, "frequency_test", lambda i, *args: True,
      lambda r, *args: {0: 1.0}, lambda seen, i, r: "max deviation 0.50000 over 256 steps"),
@@ -297,6 +299,36 @@ class TestSuites:
     def test_every_check_passes_at_budget_2(self, name):
         checks = SUITES[name](2)
         assert checks and all(ok for _, ok, _ in checks), checks
+
+    def test_conjugacy_cases_are_pinned(self, monkeypatch):
+        # the 10,000 drawn words, whatever the budget: a faster draw must not change them
+        seen = []
+        real = analysis.dyadic_step
+
+        def recording(w):
+            seen.append(w)
+            return real(w)
+
+        monkeypatch.setattr(analysis, "dyadic_step", recording)
+        run_suite("conjugacy", 2)
+        assert len(seen) == 10_000
+        digest = sha256("|".join(str(w) for w in seen).encode()).hexdigest()[:16]
+        assert digest == "245b04bc377ec138"
+
+    def test_distribution_draws_one_sample_for_both_references(self, monkeypatch):
+        calls = []
+        real = analysis.enumerate_rationals
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "enumerate_rationals", counting)
+        (_, _, fit), (_, _, control), _ = run_suite("distribution", 4)
+        assert calls == [("cf", 256)]
+        monkeypatch.undo()
+        assert fit == f"KS {distribution_test(256, 1024):.5f} over 256 samples"
+        assert control == f"KS {distribution_test(256, 1024, 'uniform'):.5f}"
 
     def test_every_check_has_a_fault(self):
         covered = {(suite, index) for suite, index, *_ in FAULTS}

@@ -23,7 +23,7 @@ from baire_odometers.codecs import (
     system,
     twin,
 )
-from baire_odometers.words import FiniteWord, tail, word
+from baire_odometers.words import FiniteWord, TailWord, tail, word
 
 
 def reduced_fractions(q_max, include_zero=False, include_one=False):
@@ -387,6 +387,24 @@ class TestBcfForms:
     def test_finite_form_rejects_other_tails(self):
         with pytest.raises(ValueError):
             bcf_finite_form(tail((3,), (2, 3), floor=2))
+
+    def test_forms_match_public_constructors(self):
+        # both forms are built by the trusted constructors; the public ones
+        # validate and normalize the same letters to the same fields
+        for w in (BCF_ZERO, *map(bcf_encode, reduced_fractions(60))):
+            a = w.letters
+            t = bcf_tail_form(w)
+            assert t == TailWord(2, a[:-1] + (a[-1] + 1,) if a else (), (2,))
+            pre = t.preperiod
+            f = bcf_finite_form(t)
+            assert f == (FiniteWord(2, pre[:-1] + (pre[-1] - 1,)) if pre else BCF_ZERO) == w
+
+    def test_forms_reject_floors_below_2(self):
+        # as bcf_decode does, even where every letter is >= 2
+        with pytest.raises(ValueError):
+            bcf_tail_form(FiniteWord(1, (3,)))
+        with pytest.raises(ValueError):
+            bcf_finite_form(TailWord(1, (3,), (2,)))
 
 
 class TestDyadicCodec:

@@ -7,6 +7,7 @@ from baire_odometers.words import (
     FiniteWord,
     TailWord,
     TreeAddress,
+    _require_binary,
     block_decode,
     block_encode,
     compare_rlex,
@@ -66,6 +67,78 @@ def same_fields(a, b):
     return (a.floor, a.preperiod, a.period) == (b.floor, b.preperiod, b.period)
 
 
+# The validators as generator scans, the form they had before they became
+# C-level scans (min, set inclusion): the message each raises, or None.
+
+def finite_word_error_by_scan(floor, letters):
+    if floor < 0:
+        return "floor must be >= 0"
+    if not letters:
+        return "letters must be nonempty"
+    if any(a < floor for a in letters):
+        return f"letters {letters} below floor {floor}"
+    return None
+
+
+def tail_word_error_by_scan(floor, pre, per):
+    if floor < 0:
+        return "floor must be >= 0"
+    if not per:
+        return "period must be nonempty"
+    if any(a < floor for a in pre + per):
+        return "letters below floor"
+    return None
+
+
+def binary_error_by_scan(pre, per):
+    if any(a not in (0, 1) for a in pre + per):
+        return "word is not binary"
+    return None
+
+
+def error_of(make, *args):
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def with_letter(letters, i, a):
+    return letters[:i] + (a,) + letters[i + 1:]
+
+
+def validator_cases():
+    """(floor, pre, per): words of letters floor and floor + 1, then each with
+    the letter floor - 1 at the first, a middle and the last place of the
+    preperiod and of the period, plus empty parts and bool letters."""
+    for floor in range(4):
+        pre, per = (floor, floor + 1, floor), (floor + 1, floor, floor + 1)
+        yield floor, pre, per
+        yield floor, (), per
+        yield floor, pre, ()
+        for i in (0, 1, 2):
+            yield floor, with_letter(pre, i, floor - 1), per
+            yield floor, pre, with_letter(per, i, floor - 1)
+        yield floor, (True, False), (False, True)
+        yield floor, (True,), (True,)
+    yield -1, (), (0,)
+
+
+def binary_cases():
+    """(pre, per) over {0, 1} with a 2 or a -1 at the first, a middle and the
+    last place of the preperiod and of the period, plus bool letters."""
+    pre, per = (0, 1, 1), (1, 0, 1)
+    yield pre, per
+    yield (), per
+    for bad in (2, -1):
+        for i in (0, 1, 2):
+            yield with_letter(pre, i, bad), per
+            yield pre, with_letter(per, i, bad)
+    yield (True, False), (False,)
+    yield (True,), (True, 2)
+
+
 class TestFiniteWord:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,6 +155,23 @@ class TestFiniteWord:
 
     def test_word_helper_floor(self):
         assert word((1, 0, 2), floor=0) == FiniteWord(0, (1, 0, 2))
+
+
+class TestValidatorsMatchScans:
+    @pytest.mark.parametrize("floor, pre, per", list(validator_cases()))
+    def test_finite_word(self, floor, pre, per):
+        letters = pre + per
+        assert error_of(FiniteWord, floor, letters) == finite_word_error_by_scan(floor, letters)
+
+    @pytest.mark.parametrize("floor, pre, per", list(validator_cases()))
+    def test_tail_word(self, floor, pre, per):
+        assert error_of(TailWord, floor, pre, per) == tail_word_error_by_scan(floor, pre, per)
+
+    @pytest.mark.parametrize("pre, per", list(binary_cases()))
+    def test_require_binary(self, pre, per):
+        # built by the trusted constructor, so letters below the floor get through
+        w = TailWord._canonical(0, pre, per)
+        assert error_of(_require_binary, w) == binary_error_by_scan(pre, per)
 
 
 class TestTreeAddress:
