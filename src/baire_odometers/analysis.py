@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Iterator
 
 from .codecs import (BCF_ZERO, SYSTEMS, BcfWord, bcf_decode, bcf_encode, bcf_finite_form,
                      bcf_tail_form, cf_decode, cf_encode, system as codec_system)
-from .interval_maps import gauss_odometer, k_gauss_odometer, question_mark, renyi_odometer
+from .interval_maps import (_b, _dyadic_pair, _gauss_pair, _renyi_pair, gauss_odometer,
+                            k_gauss_odometer, question_mark, renyi_odometer)
 from .odometers import baire_fast_forward, baire_step, dyadic_step, renormalization_exponent
 from .word_actions import Policy, enumerate_words, orbit, step as word_step
 from .words import (FiniteWord, block_encode, compare_rlex, constant, drop_front, tail,
@@ -69,43 +70,65 @@ def _bit_product(bits: str) -> tuple[int, int, int, int]:
 
 def enumerate_coded(system: str, count: int,
                     offset: str | None = None) -> Iterator[tuple[BcfWord, Fraction]]:
-    """(word, value) pairs of a system in enumeration order.
+    """(word, value) pairs of a system in enumeration order: the word orbit
+    whose values enumerate_rationals steps, zipped with those values.
 
-    Each system walks a word orbit with the odometer action and decodes every
-    word once: dyadic and cf take the subtree orbits of (1) over floor 0 and
-    (2) over floor 1 (the words ending in a letter above the floor, one per
-    value); bcf takes the top-down orbit of (2) over floor 2 (every word, each
-    a distinct value).  offset "zero" (bcf only, its default) puts BCF_ZERO,
-    the word of 0, first; "root" starts at the root word, whose value is 1/2.
-    The words are the codec's canonical ones: encode(value) == word.
+    dyadic and cf take the subtree orbits of (1) over floor 0 and (2) over
+    floor 1 (the words ending in a letter above the floor, one per value);
+    bcf takes the top-down orbit of (2) over floor 2 (every word, each a
+    distinct value), after BCF_ZERO, the word of 0, for offset "zero".  The
+    words are the codec's canonical ones: encode(value) == word and
+    decode(word) == value, though no word is decoded here.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    if offset is None:
-        offset = "zero" if system == "bcf" else "root"
-    if offset not in ("zero", "root"):
-        raise ValueError(f"unknown offset {offset!r}")
-    if offset == "zero" and system != "bcf":
-        raise ValueError(f"offset 'zero' is only defined for bcf, not {system!r}")
-    floor, _, decode = codec_system(system)
+    offset = _offset(system, offset)
+    floor = codec_system(system)[0]
     if system == "bcf":  # every word over floor 2 is canonical
         walk = orbit(FiniteWord(floor, (floor,)), Policy.TOPDOWN, count)
     else:  # the canonical words end in a letter above the floor
         walk = orbit(FiniteWord(floor, (floor + 1,)), Policy.SUBTREE, count)
     if offset == "zero":
         walk = islice(chain((BCF_ZERO,), walk), count)
-    for w in walk:
-        yield w, decode(w)
+    yield from zip(walk, enumerate_rationals(system, count, offset))
 
 
 def enumerate_rationals(system: str, count: int, offset: str | None = None) -> Iterator[Fraction]:
-    """The rationals of a system in enumeration order: the values of
-    enumerate_coded.  dyadic and cf decode the subtree word orbits of (1)
-    over floor 0 and (2) over floor 1; bcf decodes the top-down word orbit
-    of (2) over floor 2, after 0 for offset "zero" (bcf only, its default);
-    "root" starts at 1/2.
+    """The rationals of a system in enumeration order, each the image of the
+    one before under its interval odometer, stepped on integer pairs by the
+    cores of interval_maps: bcf by _renyi_pair (the Renyi odometer), from 0
+    for offset "zero" (bcf only, its default) or from 1/2 for "root"; dyadic
+    by _dyadic_pair (the interval-dyadic step) and cf by _cf_pair (the Gauss
+    odometer inside a level), both from 1/2.  No word is built or decoded:
+    the values are those of the word orbits of enumerate_coded.
     """
-    return (x for _, x in enumerate_coded(system, count, offset))
+    offset = _offset(system, offset)
+    step = {"cf": _cf_pair, "bcf": _renyi_pair, "dyadic": _dyadic_pair}[system]
+    p, q = (0, 1) if offset == "zero" else (1, 2)
+    for n in range(count):
+        if n:
+            p, q = step(p, q)
+        yield Fraction(p, q)
+
+
+def _offset(system: str, offset: str | None) -> str:
+    """The offset of an enumeration of system, checked; None is "zero" for
+    bcf and "root" for the others."""
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    if offset is None:
+        return "zero" if system == "bcf" else "root"
+    if offset not in ("zero", "root"):
+        raise ValueError(f"unknown offset {offset!r}")
+    if offset == "zero" and system != "bcf":
+        raise ValueError(f"offset 'zero' is only defined for bcf, not {system!r}")
+    return offset
+
+
+def _cf_pair(p: int, q: int) -> tuple[int, int]:
+    """The cf subtree step on p/q in lowest terms: the right-continuous Gauss
+    odometer inside a level.  A level ends at its one-letter word (a), of
+    value 1/a, and the next starts at (1, ..., 1, 2), a - 1 ones, of value
+    b(a+1)/b(a+2) with b the Fibonacci numbers."""
+    return _b(1, q + 2) if p == 1 else _gauss_pair(p, q)
 
 
 def bfs_oracle(system: str, count: int) -> Iterator[Fraction]:

@@ -120,8 +120,13 @@ def _emit(rows: Iterable[Row], fmt: str, record: Callable[[object, object], dict
 
 def _cmd_enumerate(args) -> int:
     floor = system(args.system)[0]
-    pairs = analysis.enumerate_coded(args.system, args.count, args.offset)
-    return _emit(((n, w, x) for n, (w, x) in enumerate(pairs)), args.format,
+    if args.format == "plain":  # no word is printed, so none is stepped
+        values = analysis.enumerate_rationals(args.system, args.count, args.offset)
+        rows = ((n, None, x) for n, x in enumerate(values))
+    else:
+        pairs = analysis.enumerate_coded(args.system, args.count, args.offset)
+        rows = ((n, w, x) for n, (w, x) in enumerate(pairs))
+    return _emit(rows, args.format,
                  lambda n, w: {"n": n, "word": list(w.letters), "floor": floor}, args.decimal)
 
 

@@ -78,9 +78,10 @@ def cf_encode(x: Fraction) -> FiniteWord:
 
     The result is canonical: it never ends in 1, except for cf_encode(1) = (1).
     """
-    if not 0 < x <= 1:
+    p, q = x.numerator, x.denominator
+    if not 0 < p <= q:
         raise ValueError(f"{x} outside (0, 1]")
-    return FiniteWord._canonical(1, tuple(_euclid(x.denominator, x.numerator)))
+    return FiniteWord._canonical(1, tuple(_euclid(q, p)))
 
 
 _EUCLID_LEAF = 1280  # bits: _half_gcd runs the plain loop up to this size, _euclid up to twice it
@@ -239,12 +240,12 @@ def bcf_encode(x: Fraction) -> BcfWord:
     a - 1/(2 - ... - 1/(2 - 1/b)) = (a - 1) + 1/(k + 1 + 1/(b - 1)).
     0 is BCF_ZERO.
     """
-    if not 0 <= x < 1:
+    p, q = x.numerator, x.denominator
+    if not 0 <= p < q:
         raise ValueError(f"{x} outside [0, 1)")
-    if x == 0:
+    if not p:
         return BCF_ZERO
-    q = x.denominator
-    c = _euclid(q, q - x.numerator)
+    c = _euclid(q, q - p)
     letters = []
     for i in range(0, len(c), 2):
         letters.append(c[i] + 2)
@@ -310,9 +311,9 @@ def dyadic_encode(x: Fraction) -> FiniteWord:
     followed by a 0 becomes the letter r, and the trailing run of 1s (always
     nonempty in lowest terms) becomes the last letter.
     """
-    if not 0 < x < 1:
-        raise ValueError(f"{x} outside (0, 1)")
     q = x.denominator
+    if not 0 < x.numerator < q:
+        raise ValueError(f"{x} outside (0, 1)")
     if q & (q - 1):
         raise ValueError(f"{x} is not dyadic")
     bits = format(x.numerator, f"0{q.bit_length() - 1}b")

@@ -18,6 +18,15 @@ A generic countable-Markov-interval odometer (cmi_odometer) recodes a point
 through any supplied branch system, applies the finite-word action, and maps
 back through the inverse branches; the shipped Gauss/Renyi/restricted-Gauss
 instances agree with the closed forms.
+
+Each odometer closed form has one implementation, an integer core that
+takes the numerator and denominator (p, q) of a point in lowest terms and
+returns those of its image: _gauss_pair (the right-continuous Gauss
+odometer), _moebius (the Moebius scheme behind both Gauss boundaries and the
+restricted Gauss odometer), _renyi_pair and _dyadic_pair.  The public maps
+check the domain and build one Fraction from the core's pair; the
+enumeration walk in analysis steps the pairs themselves.  Domain checks
+compare the numerator with the denominator as integers.
 """
 
 from __future__ import annotations
@@ -34,28 +43,42 @@ from .words import FiniteWord
 
 def gauss(x: Fraction) -> Fraction:
     """Fractional part of 1/x, for x in (0, 1]."""
-    if not 0 < x <= 1:
-        raise ValueError(f"{x} outside (0, 1]")
     p, q = x.numerator, x.denominator
+    if not 0 < p <= q:
+        raise ValueError(f"{x} outside (0, 1]")
     return Fraction(q % p, p)
 
 
 def renyi(x: Fraction) -> Fraction:
     """Fractional part of 1/(1-x), for x in [0, 1); fixes 0."""
-    if not 0 <= x < 1:
-        raise ValueError(f"{x} outside [0, 1)")
     p, q = x.numerator, x.denominator
+    if not 0 <= p < q:
+        raise ValueError(f"{x} outside [0, 1)")
     return Fraction(q % (q - p), q - p)
 
 
 def dyadic_interval_step(x: Fraction) -> Fraction:
     """x + 3/2^n - 1 on the branch [1 - 2^(1-n), 1 - 2^(-n)); domain [0, 1)."""
-    if not 0 <= x < 1:
-        raise ValueError(f"{x} outside [0, 1)")
-    # the least n with 2^n > 1/(1-x) = q/(q-p), i.e. with 2^n > floor(q/(q-p))
     p, q = x.numerator, x.denominator
+    if not 0 <= p < q:
+        raise ValueError(f"{x} outside [0, 1)")
+    return Fraction(*_dyadic_pair(p, q))
+
+
+def _dyadic_pair(p: int, q: int) -> tuple[int, int]:
+    """dyadic_interval_step on p/q in lowest terms, 0 <= p < q: the image
+    ((p - q) 2^n + 3q) / (q 2^n), in lowest terms.
+
+    The two terms share only a power of 2 (an odd common factor would divide
+    q and p), so shifting out the trailing zero bits of their bitwise or
+    reduces the pair without a gcd.
+    """
+    # the least n with 2^n > 1/(1-x) = q/(q-p), i.e. with 2^n > floor(q/(q-p))
     n = (q // (q - p)).bit_length()
-    return x + Fraction(3, 1 << n) - 1
+    num, den = ((p - q) << n) + 3 * q, q << n
+    both = num | den
+    zeros = (both & -both).bit_length() - 1
+    return num >> zeros, den >> zeros
 
 
 @dataclass(frozen=True)
@@ -108,14 +131,22 @@ class Boundary(Enum):
     LEFT = "left"
 
 
-def _moebius(x: Fraction, k: int, m: int, j: int) -> Fraction:
-    # (x*(b_j - m*d_j) + d_j) / (x*(b_{j+1} - m*d_{j+1}) + d_{j+1}), over the
-    # integers p/q = x, so that one Fraction is built
+def _moebius(p: int, q: int, k: int, m: int, j: int) -> tuple[int, int]:
+    """(x*(b_j - m*d_j) + d_j) / (x*(b_{j+1} - m*d_{j+1}) + d_{j+1}) at x = p/q,
+    as the pair of integers p*(b_j - m*d_j) + q*d_j and p*(b_{j+1} - m*d_{j+1})
+    + q*d_{j+1}.  The coefficient matrix has determinant -+1, so the pair is in
+    lowest terms when p/q is; on the odometers' domains both terms are > 0."""
     b_prev, b_j = _b(k, j)
     b_next = k * b_j + b_prev
     d_j, d_next = b_j + b_prev, b_next + b_j
-    p, q = x.numerator, x.denominator
-    return Fraction(p * (b_j - m * d_j) + q * d_j, p * (b_next - m * d_next) + q * d_next)
+    return p * (b_j - m * d_j) + q * d_j, p * (b_next - m * d_next) + q * d_next
+
+
+def _gauss_pair(p: int, q: int) -> tuple[int, int]:
+    """The right-continuous gauss_odometer on p/q in lowest terms, 0 < p <= q:
+    the Moebius form of the branch [1/(n+1), 1/n) holding p/q."""
+    n = -(-q // p) - 1
+    return _moebius(p, q, 1, n, n - 1)
 
 
 def gauss_odometer(x: Fraction, boundary: Boundary = Boundary.RIGHT) -> Fraction:
@@ -129,24 +160,28 @@ def gauss_odometer(x: Fraction, boundary: Boundary = Boundary.RIGHT) -> Fraction
     """
     p, q = x.numerator, x.denominator
     if boundary is Boundary.LEFT:
-        if not 0 < x < 1:
+        if not 0 < p < q:
             raise ValueError(f"{x} outside (0, 1)")
         n = q // p
-    else:
-        if not 0 < x <= 1:
-            raise ValueError(f"{x} outside (0, 1]")
-        n = -(-q // p) - 1
-    return _moebius(x, 1, n, n - 1)
+        return Fraction(*_moebius(p, q, 1, n, n - 1))
+    if not 0 < p <= q:
+        raise ValueError(f"{x} outside (0, 1]")
+    return Fraction(*_gauss_pair(p, q))
 
 
 def renyi_odometer(x: Fraction) -> Fraction:
     """Odometer over the backward map, x in [0, 1): 1/(2*floor(E) + 1 - E), E = 1/(1-x)."""
-    if not 0 <= x < 1:
-        raise ValueError(f"{x} outside [0, 1)")
     p, q = x.numerator, x.denominator
+    if not 0 <= p < q:
+        raise ValueError(f"{x} outside [0, 1)")
+    return Fraction(*_renyi_pair(p, q))
+
+
+def _renyi_pair(p: int, q: int) -> tuple[int, int]:
+    """renyi_odometer on p/q in lowest terms, 0 <= p < q: (d, (2m + 1)d - q)
+    with d = q - p and m = floor(q/d), in lowest terms (gcd(d, q) = gcd(p, q))."""
     d = q - p
-    m = q // d
-    return Fraction(d, (2 * m + 1) * d - q)  # 1/(2m + 1 - q/d); the denominator exceeds m*d > 0
+    return d, (2 * (q // d) + 1) * d - q  # 1/(2m + 1 - q/d); the denominator exceeds m*d > 0
 
 
 def k_gauss_odometer(x: Fraction, k: int) -> Fraction:
@@ -159,13 +194,14 @@ def k_gauss_odometer(x: Fraction, k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    w = cf_encode(x) if 0 < x <= 1 else None
+    p, q = x.numerator, x.denominator
+    w = cf_encode(x) if 0 < p <= q else None
     if w is None or min(w.letters) < k:
         raise ValueError(f"{x} outside (0, 1/{k}] with continued-fraction digits >= {k}")
     if len(w) == 1:
         return Fraction(*_b(k, w.letters[0] - k + 2))
     m = w.letters[0]
-    return _moebius(x, k, m, m - k)
+    return Fraction(*_moebius(p, q, k, m, m - k))
 
 
 @dataclass(frozen=True)
@@ -254,10 +290,10 @@ def question_mark(x: Fraction, precision_bits: int | None = None) -> Fraction:
     Fraction is built at the end.  With precision_bits set, the exact value
     is rounded to that many fractional bits (display use).
     """
-    if not 0 <= x <= 1:
+    if not 0 <= x.numerator <= x.denominator:
         raise ValueError(f"{x} outside [0, 1]")
     total = Fraction(0)
-    if x > 0:
+    if x.numerator:
         digits = cf_encode(x).letters
         size = sum(digits)
         plus, minus = bytearray(size // 8 + 1), bytearray(size // 8 + 1)

@@ -1,3 +1,4 @@
+import inspect
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -6,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from baire_odometers import analysis, codecs
+from baire_odometers import analysis
 from baire_odometers.analysis import (
     _STERN_LEAF,
     SUITES,
@@ -19,11 +20,13 @@ from baire_odometers.analysis import (
     stern,
     stern_oracle,
 )
-from baire_odometers.codecs import BCF_ZERO, SYSTEMS, cf_decode, system
+from baire_odometers.analysis import _cf_pair
+from baire_odometers.codecs import BCF_ZERO, SYSTEMS, cf_decode, dyadic_decode, system
+from baire_odometers.interval_maps import _dyadic_pair
 from baire_odometers.interval_maps import question_mark, renyi_odometer
 from baire_odometers.odometers import dyadic_step
-from baire_odometers.word_actions import Policy, orbit
-from baire_odometers.words import tail, total_index, word
+from baire_odometers.word_actions import Policy, orbit, step
+from baire_odometers.words import FiniteWord, tail, total_index, word
 
 
 def distribution_test_by_sort(count, grid, reference="minkowski"):
@@ -47,6 +50,18 @@ def stern_by_loop(n):
         else:
             a += b
     return b
+
+
+def enumerate_by_decoding(name, count, offset):
+    """Reference enumeration: step the word orbit and decode every word."""
+    floor, _, decode = system(name)
+    if name == "bcf":
+        words = orbit(FiniteWord(floor, (floor,)), Policy.TOPDOWN, count)
+        if offset == "zero":
+            words = [BCF_ZERO, *islice(words, count - 1)]
+    else:
+        words = orbit(FiniteWord(floor, (floor + 1,)), Policy.SUBTREE, count)
+    return [decode(w) for w in words]
 
 
 def renyi_iteration(x, count):
@@ -117,6 +132,31 @@ class TestEnumerateRationals:
         from_root = list(enumerate_rationals("bcf", 5, "root"))
         assert from_zero[0] == 0
         assert from_root == from_zero[1:] + [Fraction(3, 5)]
+
+    @pytest.mark.parametrize("name, offset", OFFSETS)
+    def test_matches_decoded_word_orbit(self, name, offset):
+        # 2^15 values pass the level ends 1/a for a <= 16 (cf) and (2^a - 1)/2^a for
+        # a <= 15 (dyadic), each with the row after it
+        count = 1 << 15
+        assert list(enumerate_rationals(name, count, offset)) == enumerate_by_decoding(
+            name, count, offset)
+
+    def test_cf_level_ends(self):
+        # the word (a) of 1/a ends its level; its subtree successor starts the next
+        for a in range(2, 400):
+            after = cf_decode(step(FiniteWord(1, (a,)), Policy.SUBTREE))
+            assert _cf_pair(1, a) == (after.numerator, after.denominator)
+
+    def test_dyadic_level_ends(self):
+        # the word (a) of (2^a - 1)/2^a ends its level; its subtree successor starts the next
+        for a in range(1, 400):
+            after = dyadic_decode(step(FiniteWord(0, (a,)), Policy.SUBTREE))
+            assert _dyadic_pair((1 << a) - 1, 1 << a) == (after.numerator, after.denominator)
+
+    def test_is_a_generator_function(self):
+        # a traced run bills the walk's time to enumerate_rationals itself
+        assert inspect.isgeneratorfunction(enumerate_rationals)
+        assert inspect.isgeneratorfunction(enumerate_coded)
 
     def test_offset_validation(self):
         with pytest.raises(ValueError):
@@ -274,12 +314,13 @@ FAULTS = [
      lambda r, x, k: x, lambda seen, i, r: "3 mismatches, first at x=1/7"),
     ("oracles", 3, analysis, "k_gauss_odometer", lambda i, x, k: k == 3 and x.denominator == 7,
      lambda r, x, k: x, lambda seen, i, r: "1 mismatches, first at x=1/7"),
-    ("oracles", 4, codecs, "cf_decode", lambda i, w: i == 2, lambda r, w: r + 1,
-     lambda seen, i, r: f"first 16 values, first at n=2 value={r + 1} oracle={r}"),
-    ("oracles", 5, codecs, "bcf_decode", lambda i, w: i == 2, lambda r, w: r + 1,
-     lambda seen, i, r: f"first 16 values, first at n=2 value={r + 1} oracle={r}"),
-    ("oracles", 6, codecs, "dyadic_decode", lambda i, w: i == 2, lambda r, w: r + 1,
-     lambda seen, i, r: f"first 16 values, first at n=2 value={r + 1} oracle={r}"),
+    # the enumeration walks step (p, q) pairs from 1/2: call 1 makes value n=2,
+    # and the fault reflects it to 1 - p/q, which keeps the walk in its domain
+    *(("oracles", index, analysis, name, lambda i, p, q: i == 1,
+       lambda r, p, q: (r[1] - r[0], r[1]),
+       lambda seen, i, r: f"first 16 values, first at n=2 value={1 - Fraction(*r)} "
+                          f"oracle={Fraction(*r)}")
+      for index, name in ((4, "_cf_pair"), (5, "_renyi_pair"), (6, "_dyadic_pair"))),
     ("oracles", 7, analysis, "stern", lambda i, n: n == 4, lambda r, n: r + 1,
      lambda seen, i, r: "first 16 values, first at n=2 value=1/3 oracle=2/3"),
     ("periods", 0, analysis, "gauss_odometer", lambda i, x: x in (Fraction(1, 3), Fraction(1, 4)),

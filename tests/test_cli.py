@@ -568,6 +568,13 @@ GOLDEN = [
     ("enumerate --system bcf --count 5000 --offset root --format json", 5000, "8234b7bb9bf59a5f"),
     ("enumerate --system bcf --count 5000 --offset root --format csv", 5001, "c5b2407f3c65314c"),
     ("enumerate --system cf --count 5000 --decimal 20", 5000, "a60a20c6d08b8e99"),
+    ("enumerate --system cf --count 5000 --format json", 5000, "43821a63357ea28b"),
+    ("enumerate --system cf --count 5000 --format csv", 5001, "4a744fcd617f9a74"),
+    ("enumerate --system dyadic --count 5000 --format json", 5000, "96a3b1544607d3c1"),
+    ("enumerate --system dyadic --count 5000 --format csv", 5001, "2ba41ee4f46304f3"),
+    ("enumerate --system cf --count 65537", 65537, "630c7f73e415ec93"),
+    ("enumerate --system bcf --count 65537", 65537, "7cc309ac621e0d06"),
+    ("enumerate --system dyadic --count 65537", 65537, "f0c02d0248ef02d2"),
     ("verify --suite all --budget 8", 16, "2d561f1f0542ce5d"),
     ("orbit --map OR --start 41/97 --steps 1500", 1501, "4926ad3f4fbedb44"),
     ("orbit --map OG --start 3/5 --steps 1500 --format json", 1501, "d9bcc77c6efbf145"),

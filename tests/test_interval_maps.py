@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from baire_odometers.codecs import bcf_encode, cf_decode, cf_encode, BCF_ZERO
+from baire_odometers.codecs import bcf_encode, cf_decode, cf_encode, dyadic_encode, BCF_ZERO
 from baire_odometers.interval_maps import (
     Boundary,
     _b,
+    _dyadic_pair,
+    _gauss_pair,
+    _moebius,
+    _renyi_pair,
     FibPair,
     cmi_odometer,
     dyadic_interval_step,
@@ -34,6 +38,38 @@ def dyadic_step_by_search(x):
     while x >= 1 - Fraction(1, 1 << n):
         n += 1
     return x + Fraction(3, 1 << n) - 1
+
+
+def dyadic_step_by_fractions(x):
+    """Reference closed form in Fraction arithmetic: x + 3/2^n - 1."""
+    p, q = x.numerator, x.denominator
+    n = (q // (q - p)).bit_length()
+    return x + Fraction(3, 1 << n) - 1
+
+
+def moebius_by_fractions(x, k, m, j):
+    """Reference Moebius form in Fraction arithmetic."""
+    b_prev, b_j = _b(k, j)
+    b_next = k * b_j + b_prev
+    d_j, d_next = b_j + b_prev, b_next + b_j
+    return (x * (b_j - m * d_j) + d_j) / (x * (b_next - m * d_next) + d_next)
+
+
+def gauss_odometer_by_fractions(x, boundary=Boundary.RIGHT):
+    p, q = x.numerator, x.denominator
+    n = q // p if boundary is Boundary.LEFT else -(-q // p) - 1
+    return moebius_by_fractions(x, 1, n, n - 1)
+
+
+def pair(x):
+    return x.numerator, x.denominator
+
+
+def random_dyadics(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        bits = rng.randrange(1, 200)
+        yield Fraction(rng.randrange(1 << bits), 1 << bits)
 
 
 def b_by_loop(k, n):
@@ -290,9 +326,12 @@ class TestRenyiOdometer:
             renyi_odometer(Fraction(1))
 
     def test_matches_fraction_expression(self):
-        # every reduced p/q of [0, 1) with q < 400
-        for x in reduced_fractions(399, include_zero=True):
-            assert renyi_odometer(x) == renyi_odometer_by_fractions(x)
+        # every reduced p/q of [0, 1) with q < 400, and random dyadics: the core
+        # returns the lowest-terms pair, and the public map is its Fraction
+        for x in [*reduced_fractions(399, include_zero=True), *random_dyadics(2000, 23)]:
+            got = _renyi_pair(*pair(x))
+            assert got == pair(renyi_odometer_by_fractions(x)), x
+            assert renyi_odometer(x) == Fraction(*got)
 
     def test_is_the_topdown_step_on_bcf_words(self):
         # every reduced p/q of [0, 1) with q < 300; the bcf word of 0 steps to (2)
@@ -468,3 +507,110 @@ class TestQuestionMark:
                 scale = 1 << bits
                 want = Fraction(round(question_mark_by_series(x) * scale), scale)
                 assert question_mark(x, precision_bits=bits) == want
+
+
+class TestIntegerCores:
+    """Each core returns the lowest-terms pair of its old Fraction form, and
+    each public map is the Fraction of its core's pair (the Renyi core is
+    checked in TestRenyiOdometer)."""
+
+    def test_dyadic_core(self):
+        # every reduced p/q of [0, 1) with q < 400, dyadic or not, and random dyadics
+        points = [*reduced_fractions(399, include_zero=True), *random_dyadics(2000, 13)]
+        for x in points:
+            got = _dyadic_pair(*pair(x))
+            assert got == pair(dyadic_step_by_fractions(x)), x
+            assert dyadic_interval_step(x) == Fraction(*got)
+
+    def test_dyadic_core_on_8000_bits(self):
+        rng = random.Random(17)
+        for x in (Fraction(rng.getrandbits(8000) | 1, 1 << 8000),
+                  Fraction((1 << 8000) - 1, 1 << 8000), Fraction(1, 1 << 8000)):
+            p, q = _dyadic_pair(*pair(x))
+            assert q & (q - 1) == 0 and p & 1
+            assert (p, q) == pair(dyadic_step_by_fractions(x))
+            assert dyadic_interval_step(x) == Fraction(p, q)
+
+    def test_gauss_core(self):
+        points = [*reduced_fractions(399, include_one=True), *random_dyadics(2000, 19)]
+        for x in points:
+            if not x:
+                continue
+            got = _gauss_pair(*pair(x))
+            assert got == pair(gauss_odometer_by_fractions(x)), x
+            assert gauss_odometer(x) == Fraction(*got)
+
+    def test_left_moebius_core(self):
+        for x in reduced_fractions(399):
+            p, q = pair(x)
+            n = q // p
+            got = _moebius(p, q, 1, n, n - 1)
+            assert got == pair(gauss_odometer_by_fractions(x, Boundary.LEFT)), x
+            assert gauss_odometer(x, Boundary.LEFT) == Fraction(*got)
+
+    def test_restricted_moebius_core(self):
+        for k in (2, 3):
+            for x in reduced_fractions(250):
+                w = cf_encode(x)
+                if len(w) == 1 or min(w.letters) < k:
+                    continue
+                m = w.letters[0]
+                got = _moebius(*pair(x), k, m, m - k)
+                assert got == pair(moebius_by_fractions(x, k, m, m - k)), (x, k)
+                assert k_gauss_odometer(x, k) == Fraction(*got)
+
+
+# Each point against each domain-checked function, as the Fraction comparisons
+# before the integer checks answered: the result, or "error: " and the message.
+DOMAIN_POINTS = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 8),
+                 Fraction(7, 8), Fraction(1, 7), Fraction(6, 7), 0, 1]
+DOMAIN_ANSWERS = [
+    (gauss, ["error: 0 outside (0, 1]", "0", "error: -1/2 outside (0, 1]",
+             "error: 3/2 outside (0, 1]", "0", "1/7", "0", "1/6", "error: 0 outside (0, 1]", "0"]),
+    (renyi, ["0", "error: 1 outside [0, 1)", "error: -1/2 outside [0, 1)",
+             "error: 3/2 outside [0, 1)", "1/7", "0", "1/6", "0", "0", "error: 1 outside [0, 1)"]),
+    (gauss_odometer, ["error: 0 outside (0, 1]", "1", "error: -1/2 outside (0, 1]",
+                      "error: 3/2 outside (0, 1]", "21/34", "1/8", "13/21", "1/7",
+                      "error: 0 outside (0, 1]", "1"]),
+    (lambda x: gauss_odometer(x, Boundary.LEFT),
+     ["error: 0 outside (0, 1)", "error: 1 outside (0, 1)", "error: -1/2 outside (0, 1)",
+      "error: 3/2 outside (0, 1)", "13/21", "1/8", "8/13", "1/7", "error: 0 outside (0, 1)",
+      "error: 1 outside (0, 1)"]),
+    (lambda x: k_gauss_odometer(x, 1),
+     ["error: 0 outside (0, 1/1] with continued-fraction digits >= 1", "1",
+      "error: -1/2 outside (0, 1/1] with continued-fraction digits >= 1",
+      "error: 3/2 outside (0, 1/1] with continued-fraction digits >= 1", "21/34", "1/8",
+      "13/21", "1/7", "error: 0 outside (0, 1/1] with continued-fraction digits >= 1", "1"]),
+    (renyi_odometer, ["1/2", "error: 1 outside [0, 1)", "error: -1/2 outside [0, 1)",
+                      "error: 3/2 outside [0, 1)", "7/13", "1/9", "6/11", "1/8", "1/2",
+                      "error: 1 outside [0, 1)"]),
+    (dyadic_interval_step, ["1/2", "error: 1 outside [0, 1)", "error: -1/2 outside [0, 1)",
+                            "error: 3/2 outside [0, 1)", "5/8", "1/16", "9/14", "13/56", "1/2",
+                            "error: 1 outside [0, 1)"]),
+    (cf_encode, ["error: 0 outside (0, 1]", "(1)", "error: -1/2 outside (0, 1]",
+                 "error: 3/2 outside (0, 1]", "(8)", "(1,7)", "(7)", "(1,6)",
+                 "error: 0 outside (0, 1]", "(1)"]),
+    (bcf_encode, ["zero", "error: 1 outside [0, 1)", "error: -1/2 outside [0, 1)",
+                  "error: 3/2 outside [0, 1)", "(2,2,2,2,2,2,2)", "(8)", "(2,2,2,2,2,2)", "(7)",
+                  "zero", "error: 1 outside [0, 1)"]),
+    (dyadic_encode, ["error: 0 outside (0, 1)", "error: 1 outside (0, 1)",
+                     "error: -1/2 outside (0, 1)", "error: 3/2 outside (0, 1)", "(0,0,1)", "(3)",
+                     "error: 1/7 is not dyadic", "error: 6/7 is not dyadic",
+                     "error: 0 outside (0, 1)", "error: 1 outside (0, 1)"]),
+    (question_mark, ["0", "1", "error: -1/2 outside [0, 1]", "error: 3/2 outside [0, 1]",
+                     "1/128", "127/128", "1/64", "63/64", "0", "1"]),
+]
+
+
+@pytest.mark.parametrize("function, answers", DOMAIN_ANSWERS,
+                         ids=["gauss", "renyi", "gauss_odometer", "gauss_odometer_left",
+                              "k_gauss_odometer", "renyi_odometer", "dyadic_interval_step",
+                              "cf_encode", "bcf_encode", "dyadic_encode", "question_mark"])
+def test_integer_domain_checks_keep_results_and_messages(function, answers):
+    got = []
+    for x in DOMAIN_POINTS:
+        try:
+            got.append(str(function(x)))
+        except ValueError as exc:
+            got.append(f"error: {exc}")
+    assert got == answers
