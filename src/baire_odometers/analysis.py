@@ -78,8 +78,16 @@ def enumerate_coded(system: str, count: int,
     bcf takes the top-down orbit of (2) over floor 2 (every word, each a
     distinct value), after BCF_ZERO, the word of 0, for offset "zero".  The
     words are the codec's canonical ones: encode(value) == word and
-    decode(word) == value, though no word is decoded here.
+    decode(word) == value, though no word is decoded here.  Each value is
+    built as a Fraction from the integer pair of _coded_pairs.
     """
+    for w, (p, q) in _coded_pairs(system, count, offset):
+        yield w, Fraction(p, q)
+
+
+def _coded_pairs(system: str, count: int,
+                 offset: str | None = None) -> Iterator[tuple[BcfWord, tuple[int, int]]]:
+    """enumerate_coded with each value as its pair (p, q) in lowest terms."""
     offset = _offset(system, offset)
     floor = codec_system(system)[0]
     if system == "bcf":  # every word over floor 2 is canonical
@@ -88,25 +96,34 @@ def enumerate_coded(system: str, count: int,
         walk = orbit(FiniteWord(floor, (floor + 1,)), Policy.SUBTREE, count)
     if offset == "zero":
         walk = islice(chain((BCF_ZERO,), walk), count)
-    yield from zip(walk, enumerate_rationals(system, count, offset))
+    yield from zip(walk, _pair_walk(system, count, offset))
 
 
 def enumerate_rationals(system: str, count: int, offset: str | None = None) -> Iterator[Fraction]:
     """The rationals of a system in enumeration order, each the image of the
-    one before under its interval odometer, stepped on integer pairs by the
-    cores of interval_maps: bcf by _renyi_pair (the Renyi odometer), from 0
+    one before under its interval odometer: bcf the Renyi odometer, from 0
     for offset "zero" (bcf only, its default) or from 1/2 for "root"; dyadic
-    by _dyadic_pair (the interval-dyadic step) and cf by _cf_pair (the Gauss
-    odometer inside a level), both from 1/2.  No word is built or decoded:
-    the values are those of the word orbits of enumerate_coded.
+    the interval-dyadic step and cf the Gauss odometer inside a level, both
+    from 1/2.  No word is built or decoded: the values are those of the
+    word orbits of enumerate_coded.  The walk itself is _pair_walk, on
+    integer pairs; this wrapper builds the Fractions.
     """
+    for p, q in _pair_walk(system, count, offset):
+        yield Fraction(p, q)
+
+
+def _pair_walk(system: str, count: int, offset: str | None = None) -> Iterator[tuple[int, int]]:
+    """enumerate_rationals as pairs (p, q) in lowest terms, stepped by the
+    cores of interval_maps: bcf by _renyi_pair, dyadic by _dyadic_pair and
+    cf by _cf_pair.  The cores return reduced pairs, so no gcd is taken."""
     offset = _offset(system, offset)
     step = {"cf": _cf_pair, "bcf": _renyi_pair, "dyadic": _dyadic_pair}[system]
-    p, q = (0, 1) if offset == "zero" else (1, 2)
-    for n in range(count):
-        if n:
-            p, q = step(p, q)
-        yield Fraction(p, q)
+    pair = (0, 1) if offset == "zero" else (1, 2)
+    if count > 0:
+        yield pair
+    for _ in range(count - 1):
+        pair = step(*pair)
+        yield pair
 
 
 def _offset(system: str, offset: str | None) -> str:
@@ -176,8 +193,8 @@ def _cf_buckets(count: int, grid: int) -> list[int]:
     """grid + 1 buckets; bucket i counts the first count cf-enumerated
     rationals p/q with ceil(p*grid/q) = i."""
     buckets = [0] * (grid + 1)
-    for x in enumerate_rationals("cf", count):
-        buckets[-(-x.numerator * grid // x.denominator)] += 1
+    for p, q in _pair_walk("cf", count):
+        buckets[-(-p * grid // q)] += 1
     return buckets
 
 
@@ -224,10 +241,21 @@ def _tally(mismatch: Callable[..., bool], cases: Iterable[dict]) -> tuple[int, i
     """Call mismatch(**case) on every case: (cases, mismatches, a note naming
     the first mismatching case, ", first at key=value ...", or "").  A case
     whose call raises ValueError or ZeroDivisionError is a mismatch, and
-    its note also names the exception."""
+    its note also names the exception.  Drawing a case that raises one ends
+    the tally with one more mismatch, and the note names that case's number
+    (counted from 0) and the exception."""
     total = bad = 0
     note = ""
-    for case in cases:
+    cases = iter(cases)
+    while True:
+        try:
+            case = next(cases)
+        except StopIteration:
+            break
+        except (ValueError, ZeroDivisionError) as exc:
+            bad += 1
+            note += f", drawing case {total} raised {type(exc).__name__}: {exc}"
+            break
         total += 1
         try:
             failed, error = mismatch(**case), ""
@@ -241,13 +269,21 @@ def _tally(mismatch: Callable[..., bool], cases: Iterable[dict]) -> tuple[int, i
 
 
 def _check_conjugacy(budget: int) -> list[Check]:
-    rand = random.Random(SEED).randrange
+    getrandbits = random.Random(SEED).getrandbits
+
+    def below(n: int) -> int:
+        """randrange(n), drawn by the rejection rule of CPython's _randbelow."""
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
     def cases() -> Iterator[dict]:
         for _ in range(10_000):
-            pre = [rand(2) for _ in range(rand(0, 10))]
-            per = [rand(2) for _ in range(rand(1, 7))]
-            per[rand(len(per))] = 0  # keep a block boundary in every tail
+            pre = [below(2) for _ in range(below(10))]
+            per = [below(2) for _ in range(1 + below(6))]
+            per[below(len(per))] = 0  # keep a block boundary in every tail
             yield {"w": tail(pre, per)}
 
     total, bad, note = _tally(

@@ -4,7 +4,7 @@ All rational input and output is exact ("p/q"); decimal rendering only
 appears behind --decimal BITS.  Finite words read and print as comma lists
 like "1,0,2" (parentheses optional); eventually periodic words use
 "pre;per", e.g. "0,1;1,0" or ";0".  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error.
+failure, 2 usage or input error, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import analysis
-from .codecs import BCF_ZERO, SYSTEMS, format_rational, parse_rational, system
+from .codecs import BCF_ZERO, SYSTEMS, parse_rational, system
 from .interval_maps import (
     Boundary,
     dyadic_interval_step,
@@ -56,20 +57,25 @@ def parse_tailword(text: str, floor: int) -> TailWord:
     return TailWord(floor, pre, per)
 
 
-def _decimal_string(x: Fraction, bits: int) -> str:
+def _decimal_string(p: int, q: int, bits: int) -> str:
+    """p/q (q > 0) to ceil(bits log10 2) decimal places, at least one,
+    rounded half to even as round(Fraction) rounds, in integers."""
     digits = max(1, math.ceil(bits * math.log10(2)))
-    scaled = round(x * 10**digits)
+    scaled, rest = divmod(p * 10**digits, q)
+    if 2 * rest > q or (2 * rest == q and scaled & 1):
+        scaled += 1
     sign, scaled = ("-", -scaled) if scaled < 0 else ("", scaled)
     return f"{sign}{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"
 
 
 def _value_text(x: Fraction, bits: int | None) -> str:
     """Plain rendering of a value: exact "p/q", or a decimal with --decimal."""
-    return _decimal_string(x, bits) if bits else str(x)
+    return _decimal_string(x.numerator, x.denominator, bits) if bits else str(x)
 
 
-# (n, word or None, value or None); a tree row's n is its (level, position)
-Row = tuple[object, object, "Fraction | None"]
+# (n, word or None, value as (p, q) in lowest terms or None); a tree row's n
+# is its (level, position)
+Row = tuple[object, object, "tuple[int, int] | None"]
 
 CHUNK_ROWS = 256  # rows rendered per write to stdout
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
@@ -79,29 +85,37 @@ def _emit(rows: Iterable[Row], fmt: str, record: Callable[[object, object], dict
           bits: int | None = None) -> int:
     """Write each row in one format and return exit code 0.
 
-    Each format renders only what it prints: plain the value (exact, or a
-    decimal with --decimal) or else the word; csv n, the word (empty for None)
-    and the exact value; json record(n, word) plus the exact value and the
-    decimal.  Rows reach stdout CHUNK_ROWS at a time, and the pending ones are
-    written in a finally: an error raised while building a row leaves every
-    earlier row on stdout, and stdout empty if it is the first."""
+    A row's value is an integer pair (p, q) in lowest terms, rendered
+    without building a Fraction.  Each format renders only what it prints:
+    plain the value (p/q, or p when q = 1, or a decimal with --decimal) or
+    else the word; csv n, the word (empty for None) and p/q; json record(n,
+    word) plus "p/q" and the decimal.  Rows reach stdout CHUNK_ROWS at a
+    time, and the pending ones are written in a finally: an error raised
+    while building a row leaves every earlier row on stdout, and stdout
+    empty if it is the first."""
     buf = io.StringIO()
     if fmt == "plain":
         def render(n, w, x):
-            buf.write(f"{w}\n" if x is None else f"{_value_text(x, bits)}\n")
+            if x is None:
+                buf.write(f"{w}\n")
+            elif bits:
+                buf.write(f"{_decimal_string(*x, bits)}\n")
+            else:  # p alone when q = 1, as str(Fraction) prints it
+                p, q = x
+                buf.write(f"{p}\n" if q == 1 else f"{p}/{q}\n")
     elif fmt == "json":
         def render(n, w, x):
             fields = record(n, w)
             if x is not None:
-                fields["value"] = format_rational(x)
+                fields["value"] = f"{x[0]}/{x[1]}"
                 if bits:
-                    fields["decimal"] = _decimal_string(x, bits)
+                    fields["decimal"] = _decimal_string(*x, bits)
             buf.write(f"{_to_json(fields)}\n")
     else:
         writer = csv.writer(buf)
 
         def render(n, w, x):  # the csv module writes None as an empty cell
-            writer.writerow([n, w, None if x is None else format_rational(x)])
+            writer.writerow([n, w, None if x is None else f"{x[0]}/{x[1]}"])
     try:
         for i, row in enumerate(rows, 1):
             if i == 1 and fmt == "csv":
@@ -121,10 +135,10 @@ def _emit(rows: Iterable[Row], fmt: str, record: Callable[[object, object], dict
 def _cmd_enumerate(args) -> int:
     floor = system(args.system)[0]
     if args.format == "plain":  # no word is printed, so none is stepped
-        values = analysis.enumerate_rationals(args.system, args.count, args.offset)
+        values = analysis._pair_walk(args.system, args.count, args.offset)
         rows = ((n, None, x) for n, x in enumerate(values))
     else:
-        pairs = analysis.enumerate_coded(args.system, args.count, args.offset)
+        pairs = analysis._coded_pairs(args.system, args.count, args.offset)
         rows = ((n, w, x) for n, (w, x) in enumerate(pairs))
     return _emit(rows, args.format,
                  lambda n, w: {"n": n, "word": list(w.letters), "floor": floor}, args.decimal)
@@ -191,7 +205,7 @@ def _value_orbit_rows(args) -> Iterator[Row]:
     states = _states(step, parse_rational(args.start), args.steps)
     if args.format == "plain":  # no word is printed, so none is encoded
         for n, x in enumerate(states):
-            yield n, None, x
+            yield n, None, (x.numerator, x.denominator)
         return
     _, encode, _ = system(RATIONAL_MAPS[args.map])
     for n, x in enumerate(states):
@@ -202,7 +216,7 @@ def _value_orbit_rows(args) -> Iterator[Row]:
                 w = encode(x)
             except ValueError:  # the point lies outside the codec's domain
                 w = None
-        yield n, w, x
+        yield n, w, (x.numerator, x.denominator)
 
 
 # --------------------------------------------------------------------- tree
@@ -229,7 +243,11 @@ def _tree_rows(root: FiniteWord, levels: int, mirror: bool, decode) -> Iterator[
         base = at.position << (depth - 1)
         positions = range(base, base + len(level))
         for w, position in zip(level, reversed(positions) if mirror else positions):
-            yield (at.level + depth - 1, position), w, decode(w) if decode else None
+            if decode:
+                x = decode(w)
+                yield (at.level + depth - 1, position), w, (x.numerator, x.denominator)
+            else:
+                yield (at.level + depth - 1, position), w, None
 
 
 # -------------------------------------------------------------------- codec
@@ -336,6 +354,12 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit
+        # raises nothing either, and exit 128 + SIGPIPE (13) as the signal would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (ValueError, ZeroDivisionError) as exc:
         line = f"error: {exc}"
         if len(line) > ERROR_WIDTH:

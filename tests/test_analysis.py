@@ -20,7 +20,7 @@ from baire_odometers.analysis import (
     stern,
     stern_oracle,
 )
-from baire_odometers.analysis import _cf_pair
+from baire_odometers.analysis import _cf_pair, _coded_pairs, _pair_walk, _tally
 from baire_odometers.codecs import BCF_ZERO, SYSTEMS, cf_decode, dyadic_decode, system
 from baire_odometers.interval_maps import _dyadic_pair
 from baire_odometers.interval_maps import question_mark, renyi_odometer
@@ -207,6 +207,29 @@ class TestEnumerateCoded:
         assert len(list(enumerate_coded(name, 1, offset))) == 1
 
 
+class TestPairWalk:
+    """The integer pairs the CLI renders, against the Fractions of the public walks."""
+
+    @pytest.mark.parametrize("name, offset", OFFSETS + [(name, None) for name in SYSTEMS])
+    def test_pairs_are_the_rationals_in_lowest_terms(self, name, offset):
+        count = 1 << 15
+        assert list(_pair_walk(name, count, offset)) == [
+            (x.numerator, x.denominator) for x in enumerate_rationals(name, count, offset)]
+
+    @pytest.mark.parametrize("name, offset", OFFSETS)
+    def test_coded_pairs_are_the_coded_values(self, name, offset):
+        assert list(_coded_pairs(name, 1 << 10, offset)) == [
+            (w, (x.numerator, x.denominator)) for w, x in enumerate_coded(name, 1 << 10, offset)]
+
+    @pytest.mark.parametrize("walk", [_pair_walk, _coded_pairs])
+    def test_short_counts_and_offset_validation(self, walk):
+        assert list(walk("cf", 0)) == []
+        assert len(list(walk("bcf", 1))) == 1
+        assert inspect.isgeneratorfunction(walk)
+        with pytest.raises(ValueError):
+            list(walk("cf", 3, "zero"))
+
+
 class TestOracles:
     def test_bfs_matches_enumeration(self):
         for system in ("cf", "bcf", "dyadic"):
@@ -358,18 +381,48 @@ class TestSuites:
 
     def test_distribution_draws_one_sample_for_both_references(self, monkeypatch):
         calls = []
-        real = analysis.enumerate_rationals
+        real = analysis._pair_walk
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(analysis, "enumerate_rationals", counting)
+        monkeypatch.setattr(analysis, "_pair_walk", counting)
         (_, _, fit), (_, _, control), _ = run_suite("distribution", 4)
         assert calls == [("cf", 256)]
         monkeypatch.undo()
         assert fit == f"KS {distribution_test(256, 1024):.5f} over 256 samples"
         assert control == f"KS {distribution_test(256, 1024, 'uniform'):.5f}"
+
+    def test_a_case_that_raises_while_drawn_fails_its_check_alone(self, monkeypatch):
+        real = analysis._renyi_pair
+        calls = []
+
+        def faulty(p, q):  # value n=2 of the bcf walk becomes p/q + 1, outside [0, 1)
+            calls.append((p, q))
+            p, q = real(p, q)
+            return (p + q, q) if len(calls) == 2 else (p, q)
+
+        monkeypatch.setattr(analysis, "_renyi_pair", faulty)
+        checks = run_suite("oracles", 4)
+        monkeypatch.undo()
+        assert len(checks) == 8
+        name, ok, detail = checks[5]
+        assert (name, ok) == ("bcf enumeration = son-rule breadth-first oracle", False)
+        assert detail.startswith("first 16 values, first at n=2 value=5/3 oracle=2/3, ")
+        assert detail.endswith(" raised ZeroDivisionError: Fraction(-1, 0)")
+        assert all(ok for i, (_, ok, _) in enumerate(checks) if i != 5)
+
+    def test_tally_names_the_case_whose_draw_raised(self):
+        def cases():
+            yield {"x": 1}
+            yield {"x": 2}
+            raise ValueError("no third case")
+
+        assert _tally(lambda x: x == 2, cases()) == (
+            2, 2, ", first at x=2, drawing case 2 raised ValueError: no third case")
+        assert _tally(lambda x: False, cases()) == (
+            2, 1, ", drawing case 2 raised ValueError: no third case")
 
     def test_every_check_has_a_fault(self):
         covered = {(suite, index) for suite, index, *_ in FAULTS}

@@ -3,8 +3,13 @@ import csv
 import hashlib
 import io
 import json
+import math
+import os
+import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +91,57 @@ class TestEnumerate:
                            "--decimal", "8")
         assert code == 0
         assert out.splitlines() == ["0.500", "0.250"]
+
+
+def decimal_by_fraction(x: Fraction, bits: int) -> str:
+    """Oracle for cli._decimal_string: the Fraction rendering it replaced."""
+    digits = max(1, math.ceil(bits * math.log10(2)))
+    scaled = round(x * 10**digits)
+    sign, scaled = ("-", -scaled) if scaled < 0 else ("", scaled)
+    return f"{sign}{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"
+
+
+class TestDecimal:
+    """--decimal rounds the pair (p, q) half to even in integers, as round(Fraction) does."""
+
+    @pytest.mark.parametrize("x, bits, text", [
+        (Fraction(1, 4), 1, "0.2"), (Fraction(3, 4), 1, "0.8"), (Fraction(0), 1, "0.0"),
+        (Fraction(1), 1, "1.0"), (Fraction(1, 8), 4, "0.12"), (Fraction(3, 8), 4, "0.38"),
+        (Fraction(1, 16), 7, "0.062"), (Fraction(-1, 4), 1, "-0.2"),
+    ])
+    def test_ties_and_ends(self, x, bits, text):
+        assert cli._decimal_string(x.numerator, x.denominator, bits) == text
+        assert decimal_by_fraction(x, bits) == text
+
+    def test_dyadics_at_one_to_three_digits(self):
+        # bits 1-3 print 1 digit, 4-6 print 2 and 7-9 print 3: every k/64 is a tie somewhere
+        for bits in range(1, 10):
+            for k in range(65):
+                x = Fraction(k, 64)
+                assert cli._decimal_string(x.numerator, x.denominator, bits) == \
+                    decimal_by_fraction(x, bits), (x, bits)
+
+    def test_random_pairs(self):
+        rng = random.Random(21)
+        for _ in range(2000):
+            x = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6))
+            bits = rng.randrange(1, 80)
+            assert cli._decimal_string(x.numerator, x.denominator, bits) == \
+                decimal_by_fraction(x, bits), (x, bits)
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    """A reader that closes stdout early ends the command as a SIGPIPE would."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "baire_odometers", "enumerate", "--system", "cf", "--count",
+         "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1/2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestOrbit:
@@ -581,6 +637,10 @@ GOLDEN = [
     ("orbit --map O0 --start 0,1,2,0,3 --steps 1500", 1501, "ef4db2e9d2bd610e"),
     ("tree --floor 1 --levels 12 --root 1,2 --values cf", 12, "d5be576fb087ff79"),
     ("tree --floor 2 --levels 10 --root 2,3 --values bcf --format json", 1023, "5542edb0bf49d65e"),
+    # --decimal on ties (1/4 -> 0.2, 3/4 -> 0.8); csv prints no decimal, so --decimal leaves it
+    ("enumerate --system dyadic --count 5000 --decimal 2", 5000, "88e7fc5e1745945f"),
+    ("enumerate --system bcf --count 5000 --format csv --decimal 3", 5001, "c285089367b38b91"),
+    ("orbit --map OR --start 0 --steps 200 --decimal 1", 201, "b59644987a8f656f"),
 ]
 
 
